@@ -35,11 +35,9 @@ import (
 	"time"
 
 	"rc4break/internal/cliutil"
-	"rc4break/internal/cookieattack"
 	"rc4break/internal/fleet"
-	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/metrics"
-	"rc4break/internal/netsim"
 	"rc4break/internal/obs"
 	"rc4break/internal/online"
 	"rc4break/internal/tkip"
@@ -77,10 +75,41 @@ func main() {
 		journal = obs.NewJournal("fleetd", obs.DefaultCapacity)
 	}
 
+	if *attack == "cookie" && len(*secret) != 16 {
+		fatal(fmt.Errorf("secret must be 16 characters, got %d", len(*secret)))
+	}
+	spec := job.Spec{Attack: *attack, Mode: *mode, Seed: *seed, Secret: *secret, Workers: *workers}
+	var model *tkip.PerTSCModel
+	if *attack == "tkip" {
+		var err error
+		model, err = job.LoadOrTrainModel(*modelPath, *trainKeys, *workers, func(format string, args ...interface{}) {
+			fmt.Printf("[fleet] "+format+"\n", args...)
+		})
+		if err != nil {
+			fatal(err)
+		}
+	}
+	var evidence []byte
+	if *resume != "" {
+		var err error
+		if evidence, err = os.ReadFile(*resume); err != nil {
+			fatal(fmt.Errorf("resume %s: %w", *resume, err))
+		}
+	}
+	j, err := job.NewPool(spec, evidence, model)
+	if err != nil {
+		fatal(err)
+	}
+	if *resume != "" {
+		fmt.Printf("[fleet] resumed pool %s: %d %s\n", *resume, j.Observed(), j.Unit())
+	}
+	fp, err := j.Fingerprint()
+	if err != nil {
+		fatal(err)
+	}
+
 	var (
 		pool   fleet.Pool
-		oracle online.Oracle
-		fp     [16]byte
 		report func(res online.Result, err error)
 	)
 	switch *attack {
@@ -91,8 +120,7 @@ func main() {
 		if *depth == 0 {
 			*depth = 1 << 16
 		}
-		a, server := cookieSetup(*secret, *workers, *resume)
-		pool, oracle, fp = &fleet.CookiePool{Attack: a}, server, a.Fingerprint()
+		pool = &fleet.CookiePool{Attack: j.Cookie}
 		report = func(res online.Result, err error) {
 			if err == nil {
 				fmt.Printf("[fleet] cookie %q confirmed at rank %d after %d records (%d rounds, %d server checks)\n",
@@ -107,23 +135,21 @@ func main() {
 		if *depth == 0 {
 			*depth = 1 << 20
 		}
-		a, trailerOracle, modelFP := tkipSetup(*modelPath, *trainKeys, *workers, *resume)
-		pool, oracle, fp = &fleet.TKIPPool{Attack: a.Attack, Model: a.Model}, trailerOracle, modelFP
+		pool = &fleet.TKIPPool{Attack: j.TKIP, Model: model}
 		report = func(res online.Result, err error) {
 			if err == nil {
 				fmt.Printf("[fleet] trailer confirmed at rank %d after %d frames; MIC key %x\n",
-					res.Rank, res.Observed, trailerOracle.MICKey)
+					res.Rank, res.Observed, j.Oracle.(*tkip.TrailerOracle).MICKey)
 			}
 			writeJSON(*jsonOut, "tkip", *mode, res, err)
 		}
-	default:
-		fatal(fmt.Errorf("unknown attack %q", *attack))
 	}
 
-	job := fleet.JobSpec{
+	// Lanes carry the job's stream identity (exact TKIP's seed is zero).
+	fleetJob := fleet.JobSpec{
 		Attack:      *attack,
 		Mode:        *mode,
-		Seed:        *seed,
+		Seed:        spec.Stream().Seed,
 		Budget:      *budget,
 		LaneRecords: *laneRecords,
 		Fingerprint: fp,
@@ -147,9 +173,9 @@ func main() {
 		histDecode = reg.Histogram("fleetd_decode_round_seconds", "closed-loop decode round time over the merged pool", fastBuckets)
 	}
 	cfg := fleet.Config{
-		Job:           job,
+		Job:           fleetJob,
 		Pool:          pool,
-		Oracle:        oracle,
+		Oracle:        j.Oracle,
 		Cadence:       online.Cadence{First: *firstDecode, Every: *decodeEvery},
 		MaxCandidates: *depth,
 		LeaseTTL:      *leaseTTL,
@@ -173,7 +199,7 @@ func main() {
 	}
 	coord.Serve(l)
 	fmt.Printf("[fleet] coordinating %s/%s on %s: budget %d in %d lanes of %d, lease TTL %v\n",
-		*attack, *mode, l.Addr(), job.Budget, job.Lanes(), job.LaneRecords, *leaseTTL)
+		*attack, *mode, l.Addr(), fleetJob.Budget, fleetJob.Lanes(), fleetJob.LaneRecords, *leaseTTL)
 
 	// Optional observability endpoints, the same reusable handlers attackd
 	// mounts: Prometheus text metrics (lane counters, latency histograms,
@@ -212,7 +238,7 @@ func main() {
 	}
 	uploads, rejected, lanesDone := coord.Stats()
 	fmt.Printf("[fleet] %d lane uploads accepted, %d rejected, %d/%d lanes done\n",
-		uploads, rejected, lanesDone, job.Lanes())
+		uploads, rejected, lanesDone, fleetJob.Lanes())
 	if runErr != nil && !errors.Is(runErr, online.ErrBudgetExhausted) {
 		report(res, runErr)
 		fatal(runErr)
@@ -228,7 +254,7 @@ func main() {
 	time.Sleep(*linger)
 	coord.Close()
 	if *traceOut != "" {
-		if err := writeChromeTrace(*traceOut, journal); err != nil {
+		if err := obs.WriteChromeFile(*traceOut, journal); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("[fleet] chrome trace -> %s\n", *traceOut)
@@ -236,123 +262,6 @@ func main() {
 	if runErr != nil {
 		os.Exit(1)
 	}
-}
-
-// writeChromeTrace dumps the journal as a Perfetto-loadable Chrome
-// trace-event file: the coordinator's spans plus every folded worker span,
-// one process group per proc label.
-func writeChromeTrace(path string, j *obs.Journal) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChrome(f, j.Snapshot()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// cookieSetup builds the §6 evidence pool and oracle exactly as
-// cmd/cookieattack does, so worker-side fingerprints match.
-func cookieSetup(secret string, workers int, resume string) (*cookieattack.Attack, *netsim.CookieServer) {
-	if len(secret) != 16 {
-		fatal(fmt.Errorf("secret must be 16 characters, got %d", len(secret)))
-	}
-	req, counterBase, err := netsim.AlignedRequest("site.com", "auth", secret, 64)
-	if err != nil {
-		fatal(err)
-	}
-	attack, err := cookieattack.New(cookieattack.Config{
-		CookieLen:   16,
-		Offset:      req.CookieOffset(),
-		Plaintext:   req.Marshal(),
-		CounterBase: counterBase,
-		MaxGap:      128,
-		Charset:     httpmodel.CookieCharset(),
-	})
-	if err != nil {
-		fatal(err)
-	}
-	attack.Workers = workers
-	if resume != "" {
-		resumed, err := cookieattack.ReadSnapshotFile(resume)
-		if err != nil {
-			fatal(fmt.Errorf("resume %s: %w", resume, err))
-		}
-		if resumed.Fingerprint() != attack.Fingerprint() {
-			fatal(fmt.Errorf("resume %s: snapshot was captured against a different request layout", resume))
-		}
-		resumed.Workers = workers
-		attack = resumed
-		fmt.Printf("[fleet] resumed pool %s: %d records\n", resume, attack.Records)
-	}
-	return attack, &netsim.CookieServer{Secret: []byte(secret)}
-}
-
-// tkipSetup loads (or trains) the per-TSC model and prepares the capture
-// pool and trailer oracle with the same fixed session cmd/tkipattack uses.
-func tkipSetup(modelPath string, trainKeys uint64, workers int, resume string) (*fleet.TKIPPool, *tkip.TrailerOracle, [16]byte) {
-	session := tkip.DemoSession()
-	victim := netsim.NewWiFiVictim(session, tkip.DemoPayload)
-	positions := tkip.TrailerPositions(len(victim.MSDU))
-
-	var model *tkip.PerTSCModel
-	if modelPath != "" {
-		m, err := tkip.LoadModelFile(modelPath)
-		switch {
-		case err == nil:
-			model = m
-			fmt.Printf("[fleet] loaded model %s (%d keys x 256 classes x %d positions)\n", modelPath, m.Keys, m.Positions)
-		case !os.IsNotExist(err):
-			fatal(fmt.Errorf("load model %s: %w", modelPath, err))
-		}
-	}
-	if model == nil {
-		fmt.Printf("[fleet] training per-TSC model: %d keys x 256 classes x %d positions...\n",
-			trainKeys, positions[len(positions)-1])
-		m, err := tkip.Train(tkip.TrainConfig{
-			Positions:  positions[len(positions)-1],
-			KeysPerTSC: trainKeys,
-			Workers:    workers,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		model = m
-		if modelPath != "" {
-			if err := model.SaveFile(modelPath); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	if model.Positions < positions[len(positions)-1] {
-		fatal(fmt.Errorf("model covers %d positions, attack needs %d", model.Positions, positions[len(positions)-1]))
-	}
-
-	attack, err := tkip.NewAttack(model, positions)
-	if err != nil {
-		fatal(err)
-	}
-	attack.Workers = workers
-	if resume != "" {
-		resumed, err := tkip.ReadAttackSnapshotFile(resume, model)
-		if err != nil {
-			fatal(fmt.Errorf("resume %s: %w", resume, err))
-		}
-		resumed.Workers = workers
-		attack = resumed
-		fmt.Printf("[fleet] resumed pool %s: %d frames\n", resume, attack.Frames)
-	}
-	fp, err := model.Fingerprint()
-	if err != nil {
-		fatal(err)
-	}
-	oracle := &tkip.TrailerOracle{
-		DA: session.DA, SA: session.SA, MSDU: victim.MSDU,
-		Confirm: netsim.ForgeryConfirm(session, victim.MSDU),
-	}
-	return &fleet.TKIPPool{Attack: attack, Model: model}, oracle, fp
 }
 
 func writeJSON(enabled bool, attack, mode string, res online.Result, err error) {

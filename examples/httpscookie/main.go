@@ -10,28 +10,21 @@ import (
 	"math/rand"
 
 	"rc4break/internal/cookieattack"
-	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 )
 
 func main() {
 	const secret = "S3cretAuthToken/"
 
-	req, counterBase, err := netsim.AlignedRequest("site.com", "auth", secret, 64)
+	cfg, _, err := job.CookieConfig(secret)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("aligned request: cookie at offset %d, %d bytes total\n",
-		req.CookieOffset(), len(req.Marshal()))
+		cfg.Offset, len(cfg.Plaintext))
 
-	attack, err := cookieattack.New(cookieattack.Config{
-		CookieLen:   len(secret),
-		Offset:      req.CookieOffset(),
-		Plaintext:   req.Marshal(),
-		CounterBase: counterBase,
-		MaxGap:      128,
-		Charset:     httpmodel.CookieCharset(),
-	})
+	attack, err := cookieattack.New(cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -1,17 +1,14 @@
-// Package cliutil holds the small helpers the attack CLIs share, so the
-// three drivers parse their common flags identically and run the same
-// checkpointed-capture loop.
+// Package cliutil holds the small helpers the attack drivers share, so they
+// parse their common flags identically and derive seeds and stream
+// identities the same way.
 package cliutil
 
 import (
 	"errors"
 	"fmt"
-	"os"
-	"os/signal"
 	"path/filepath"
 	"sort"
 	"strings"
-	"syscall"
 )
 
 // SplitList parses a comma-separated flag value, trimming whitespace and
@@ -74,26 +71,6 @@ func TraceStreamSeed(paths []string) int64 {
 	return int64(h)
 }
 
-// ErrInterrupted is returned by CheckpointLoop.Run after a SIGINT/SIGTERM
-// flush; drivers exit 130 on it.
-var ErrInterrupted = errors.New("cliutil: capture interrupted")
-
-// OnlineCheckpoint returns the Checkpoint hook the online attack drivers
-// share: write the snapshot after every unsuccessful decode round (no-op
-// when path is empty) and report it in the drivers' indented style.
-func OnlineCheckpoint(path, unit string, save func(string) error, progress func() uint64) func() error {
-	return func() error {
-		if path == "" {
-			return nil
-		}
-		if err := save(path); err != nil {
-			return err
-		}
-		fmt.Printf("      checkpoint: %d %s -> %s\n", progress(), unit, path)
-		return nil
-	}
-}
-
 // IndentLogf prints a runtime progress line in the drivers' indented style
 // — the online.Config Logf both attack CLIs use.
 func IndentLogf(format string, args ...interface{}) {
@@ -123,59 +100,4 @@ func ContinuationSeed(seed int64, observed uint64) int64 {
 // lane), which is what makes a re-leased lane's recapture byte-identical.
 func LaneSeed(seed int64, lane uint64) int64 {
 	return ContinuationSeed(seed, lane+1)
-}
-
-// CheckpointLoop is the capture-loop scaffolding the exact-mode drivers
-// share: Step runs Iterations times; every time the progress counter
-// advances Every steps past the last write (and Path is set), Save runs;
-// SIGINT/SIGTERM flushes a final Save and returns ErrInterrupted, so a
-// kill loses at most one checkpoint interval.
-type CheckpointLoop struct {
-	Iterations uint64
-	Path       string        // checkpoint file; "" disables writes
-	Every      uint64        // progress steps between periodic writes
-	Unit       string        // progress unit for messages ("records", "frames")
-	Save       func() error  // atomically writes the snapshot to Path
-	Progress   func() uint64 // current progress counter
-	Step       func() (advanced bool, err error)
-}
-
-// Run drives the loop. Status lines match the drivers' indented style.
-func (l CheckpointLoop) Run() error {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-
-	var sinceWrite uint64
-	for i := uint64(0); i < l.Iterations; i++ {
-		select {
-		case <-sig:
-			if l.Path == "" {
-				fmt.Printf("      interrupted at %d %s (no -checkpoint set; progress lost)\n", l.Progress(), l.Unit)
-				return ErrInterrupted
-			}
-			if err := l.Save(); err != nil {
-				return err
-			}
-			fmt.Printf("      interrupted: checkpoint flushed at %d %s -> %s (rerun with -resume %s)\n",
-				l.Progress(), l.Unit, l.Path, l.Path)
-			return ErrInterrupted
-		default:
-		}
-		advanced, err := l.Step()
-		if err != nil {
-			return err
-		}
-		if advanced {
-			sinceWrite++
-		}
-		if l.Path != "" && l.Every > 0 && sinceWrite >= l.Every {
-			if err := l.Save(); err != nil {
-				return err
-			}
-			fmt.Printf("      checkpoint: %d %s -> %s\n", l.Progress(), l.Unit, l.Path)
-			sinceWrite = 0
-		}
-	}
-	return nil
 }

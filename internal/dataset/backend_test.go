@@ -83,9 +83,9 @@ func TestEngineBackendEnv(t *testing.T) {
 	st := Stream{BlockLen: 4}
 	t.Setenv(rc4.BackendEnv, "scalar")
 	base := runDigest(t, rc4.BackendAuto, st, 40, 2)
-	t.Setenv(rc4.BackendEnv, "soa")
-	soa := runDigest(t, rc4.BackendAuto, st, 40, 2)
-	if base.sum != soa.sum || base.windows != soa.windows {
+	t.Setenv(rc4.BackendEnv, "multi")
+	multi := runDigest(t, rc4.BackendAuto, st, 40, 2)
+	if base.sum != multi.sum || base.windows != multi.windows {
 		t.Fatal("env-forced backends disagree")
 	}
 	t.Setenv(rc4.BackendEnv, "quantum")

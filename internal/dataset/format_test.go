@@ -41,27 +41,23 @@ func TestSaveWritesVersionedEnvelope(t *testing.T) {
 	}
 }
 
-func TestLoadLegacyPreEnvelopeStream(t *testing.T) {
-	// Files written before the version marker were bare gob streams; they
-	// must keep loading.
+func TestLoadRejectsBareGob(t *testing.T) {
+	// Datasets are only ever written through the snapshot envelope; a bare
+	// gob stream of the same observer is not a dataset file.
 	obs, err := Run(Config{Keys: 32}, func() Observer { return NewDigraphCounts(4) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	var legacy bytes.Buffer
-	enc := gob.NewEncoder(&legacy)
+	var bare bytes.Buffer
+	enc := gob.NewEncoder(&bare)
 	if err := enc.Encode("digraph"); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Encode(obs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if KeysObserved(got) != 32 {
-		t.Fatalf("legacy load keys = %d", KeysObserved(got))
+	if _, err := Load(&bare); !errors.Is(err, snapshot.ErrNotSnapshot) {
+		t.Fatalf("bare gob dataset: want snapshot.ErrNotSnapshot, got %v", err)
 	}
 }
 

@@ -438,7 +438,7 @@ func Load(r io.Reader) (Observer, error) {
 	return obs, err
 }
 
-// LoadFile loads an observer dataset from path (enveloped or legacy).
+// LoadFile loads an observer dataset from path.
 func LoadFile(path string) (Observer, error) {
 	obs, _, err := LoadFileMeta(path)
 	return obs, err
@@ -446,7 +446,7 @@ func LoadFile(path string) (Observer, error) {
 
 // LoadFileMeta loads an observer dataset plus the generation-parameter
 // record written by SaveFileMeta. meta is nil when the file carries none
-// (plain Save/SaveFile output or legacy streams).
+// (plain Save/SaveFile output).
 func LoadFileMeta(path string) (Observer, map[string]uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -456,34 +456,26 @@ func LoadFileMeta(path string) (Observer, map[string]uint64, error) {
 	return loadWithMeta(f)
 }
 
-// loadWithMeta is the single format-dispatch path behind Load and
-// LoadFileMeta: sniff for the envelope, verify kind, then decode the
-// observer and the optional trailing parameter record.
+// loadWithMeta is the single decode path behind Load and LoadFileMeta:
+// read the envelope (a bare gob stream fails with snapshot.ErrNotSnapshot),
+// verify kind, then decode the observer and the optional trailing
+// parameter record.
 func loadWithMeta(r io.Reader) (Observer, map[string]uint64, error) {
-	replay, isEnvelope, err := snapshot.Sniff(r)
+	kind, payload, err := snapshot.Read(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	var dec *gob.Decoder
-	if isEnvelope {
-		kind, payload, err := snapshot.Read(replay)
-		if err != nil {
-			return nil, nil, err
-		}
-		if kind != ObserverSnapshotKind {
-			return nil, nil, fmt.Errorf("dataset: file holds %q, not an observer dataset", kind)
-		}
-		dec = gob.NewDecoder(bytes.NewReader(payload))
-	} else {
-		dec = gob.NewDecoder(replay)
+	if kind != ObserverSnapshotKind {
+		return nil, nil, fmt.Errorf("dataset: file holds %q, not an observer dataset", kind)
 	}
+	dec := gob.NewDecoder(bytes.NewReader(payload))
 	obs, err := decodeObserver(dec)
 	if err != nil {
 		return nil, nil, err
 	}
 	var pairs []metaPair
 	if err := dec.Decode(&pairs); err != nil {
-		return obs, nil, nil // absent or legacy: not an error
+		return obs, nil, nil // SaveFile writes no meta record: not an error
 	}
 	meta := make(map[string]uint64, len(pairs))
 	for _, p := range pairs {

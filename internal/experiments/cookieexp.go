@@ -6,6 +6,7 @@ import (
 
 	"rc4break/internal/cookieattack"
 	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 )
 
@@ -57,18 +58,12 @@ func Figure10(p CookieParams) (Result, error) {
 		var okList, okTop1 int
 		for t := 0; t < p.Trials; t++ {
 			secret := randomCookie(rng, charset, 16)
-			req, counterBase, err := netsim.AlignedRequest("site.com", "auth", string(secret), 64)
+			cfg, _, err := job.CookieConfig(string(secret))
 			if err != nil {
 				return Result{}, err
 			}
-			attack, err := cookieattack.New(cookieattack.Config{
-				CookieLen:   16,
-				Offset:      req.CookieOffset(),
-				Plaintext:   req.Marshal(),
-				CounterBase: counterBase,
-				MaxGap:      p.MaxGap,
-				Charset:     charset,
-			})
+			cfg.MaxGap = p.MaxGap
+			attack, err := cookieattack.New(cfg)
 			if err != nil {
 				return Result{}, err
 			}
@@ -132,18 +127,12 @@ func CharsetAblation(seed int64, n uint64, trials, candidates int) (Result, erro
 		ok := 0
 		for t := 0; t < trials; t++ {
 			secret := randomCookie(rng, charset, 16)
-			req, counterBase, err := netsim.AlignedRequest("site.com", "auth", string(secret), 64)
+			cfg, _, err := job.CookieConfig(string(secret))
 			if err != nil {
 				return Result{}, err
 			}
-			attack, err := cookieattack.New(cookieattack.Config{
-				CookieLen:   16,
-				Offset:      req.CookieOffset(),
-				Plaintext:   req.Marshal(),
-				CounterBase: counterBase,
-				MaxGap:      128,
-				Charset:     mode.charset,
-			})
+			cfg.Charset = mode.charset // the ablation's one varied field
+			attack, err := cookieattack.New(cfg)
 			if err != nil {
 				return Result{}, err
 			}

@@ -12,7 +12,7 @@ import (
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
 	"rc4break/internal/fleet"
-	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 	"rc4break/internal/online"
 )
@@ -73,19 +73,12 @@ func (p FleetParams) withDefaults() FleetParams {
 // shows what the fleet layer itself costs.
 func FleetVsSingle(p FleetParams) (Result, error) {
 	p = p.withDefaults()
-	req, counterBase, err := netsim.AlignedRequest("site.com", "auth", p.Secret, 64)
+	cfg, _, err := job.CookieConfig(p.Secret)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := cookieattack.Config{
-		CookieLen:   len(p.Secret),
-		Offset:      req.CookieOffset(),
-		Plaintext:   req.Marshal(),
-		CounterBase: counterBase,
-		MaxGap:      p.MaxGap,
-		Charset:     httpmodel.CookieCharset(),
-	}
-	job := fleet.JobSpec{
+	cfg.MaxGap = p.MaxGap
+	fj := fleet.JobSpec{
 		Attack:      "cookie",
 		Mode:        "model",
 		Seed:        p.Seed,
@@ -119,12 +112,12 @@ func FleetVsSingle(p FleetParams) (Result, error) {
 		Oracle:        &netsim.CookieServer{Secret: []byte(p.Secret)},
 		Cadence:       cad,
 		MaxCandidates: p.Candidates,
-		Budget:        job.Budget,
+		Budget:        fj.Budget,
 		Feed: online.FeedFunc(func(target uint64) error {
-			for single.Records < target && lane < job.Lanes() {
-				_, records := job.LaneExtent(lane)
-				shard, err := cookieattack.CollectLane(cfg, []byte(p.Secret), job.LaneStream(lane),
-					cliutil.LaneSeed(job.Seed, lane), records, p.DecodeWorkers)
+			for single.Records < target && lane < fj.Lanes() {
+				_, records := fj.LaneExtent(lane)
+				shard, err := cookieattack.CollectLane(cfg, []byte(p.Secret), fj.LaneStream(lane),
+					cliutil.LaneSeed(fj.Seed, lane), records, p.DecodeWorkers)
 				if err != nil {
 					return err
 				}
@@ -146,9 +139,9 @@ func FleetVsSingle(p FleetParams) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	job.Fingerprint = pool.Fingerprint()
+	fj.Fingerprint = pool.Fingerprint()
 	coord, err := fleet.NewCoordinator(fleet.Config{
-		Job:           job,
+		Job:           fj,
 		Pool:          &fleet.CookiePool{Attack: pool},
 		Oracle:        &netsim.CookieServer{Secret: []byte(p.Secret)},
 		Cadence:       cad,
@@ -176,11 +169,11 @@ func FleetVsSingle(p FleetParams) (Result, error) {
 				Addr:        l.Addr().String(),
 				ID:          fmt.Sprintf("w%d", i+1),
 				Attack:      "cookie",
-				Fingerprint: job.Fingerprint,
+				Fingerprint: fj.Fingerprint,
 				MaxWait:     100 * time.Millisecond,
-				Collect: func(job fleet.JobSpec, lease fleet.Lease) ([]byte, error) {
+				Collect: func(fj fleet.JobSpec, lease fleet.Lease) ([]byte, error) {
 					a, err := cookieattack.CollectLane(cfg, []byte(p.Secret), lease.Stream,
-						cliutil.LaneSeed(job.Seed, lease.Lane), lease.Records, p.DecodeWorkers)
+						cliutil.LaneSeed(fj.Seed, lease.Lane), lease.Records, p.DecodeWorkers)
 					if err != nil {
 						return nil, err
 					}
@@ -239,7 +232,7 @@ func FleetVsSingle(p FleetParams) (Result, error) {
 	}
 	return Result{
 		ID:      "Fleet §6",
-		Title:   fmt.Sprintf("Distributed fleet vs single process (%d workers, %d lanes)", p.Workers, job.Lanes()),
+		Title:   fmt.Sprintf("Distributed fleet vs single process (%d workers, %d lanes)", p.Workers, fj.Lanes()),
 		Columns: []string{"records x2^20", "rank", "rounds", "wall-clock s"},
 		Rows: []Row{
 			row("single-process", singleRes, singleTime),

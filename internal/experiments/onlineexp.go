@@ -8,6 +8,7 @@ import (
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
 	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 	"rc4break/internal/online"
 )
@@ -78,18 +79,12 @@ func OnlineCookieRecords(p OnlineCookieParams) (Result, error) {
 	perPoint := make([]int, len(points)) // successes landing at each decode point
 	for t := 0; t < p.Trials; t++ {
 		secret := randomCookie(rng, charset, 16)
-		req, counterBase, err := netsim.AlignedRequest("site.com", "auth", string(secret), 64)
+		cfg, _, err := job.CookieConfig(string(secret))
 		if err != nil {
 			return Result{}, err
 		}
-		attack, err := cookieattack.New(cookieattack.Config{
-			CookieLen:   16,
-			Offset:      req.CookieOffset(),
-			Plaintext:   req.Marshal(),
-			CounterBase: counterBase,
-			MaxGap:      p.MaxGap,
-			Charset:     charset,
-		})
+		cfg.MaxGap = p.MaxGap
+		attack, err := cookieattack.New(cfg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -102,10 +97,10 @@ func OnlineCookieRecords(p OnlineCookieParams) (Result, error) {
 			Cadence:       cad,
 			MaxCandidates: p.Candidates,
 			Budget:        p.Budget,
-			CaptureTo: func(target uint64) error {
+			Feed: online.FeedFunc(func(target uint64) error {
 				rng := rand.New(rand.NewSource(cliutil.ContinuationSeed(trialSeed, attack.Records)))
 				return attack.SimulateStatistics(rng, secret, target-attack.Records)
-			},
+			}),
 		})
 		if errors.Is(err, online.ErrBudgetExhausted) {
 			continue // censored trial

@@ -2,19 +2,18 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
-	"rc4break/internal/httpmodel"
+	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 	"rc4break/internal/packet"
 	"rc4break/internal/tkip"
-	"rc4break/internal/tlsrec"
 	"rc4break/internal/trace"
 )
 
@@ -68,20 +67,17 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 		return Result{}, nil, err
 	}
 	session := tkip.DemoSession()
-	newTKIP := func() (*tkip.Attack, error) {
-		return tkip.NewAttack(model, tkip.TrailerPositions(msduLen))
+	newTKIP := func() (*job.Job, error) {
+		return job.New(job.Spec{Attack: "tkip", Mode: "exact"}, nil, model)
 	}
 	direct, err := newTKIP()
 	if err != nil {
 		return Result{}, nil, err
 	}
-	victim := netsim.NewWiFiVictim(session, tkip.DemoPayload)
-	sniffer := netsim.NewSniffer(victim.FrameLen())
-	for i := uint64(0); i < p.Frames; i++ {
-		if f := victim.Transmit(); sniffer.Filter(f) {
-			direct.Observe(f)
-		}
+	if err := direct.Capture(context.Background(), p.Frames); err != nil {
+		return Result{}, nil, err
 	}
+	victim := netsim.NewWiFiVictim(session, tkip.DemoPayload)
 	var capture bytes.Buffer
 	pw, err := trace.NewPcapWriter(&capture, trace.LinkTypeRadiotap)
 	if err != nil {
@@ -91,7 +87,7 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if err := netsim.NewWiFiVictim(session, tkip.DemoPayload).WriteTrace(fw, p.Frames); err != nil {
+	if err := victim.WriteTrace(fw, p.Frames); err != nil {
 		return Result{}, nil, err
 	}
 	ingested, err := newTKIP()
@@ -99,7 +95,7 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 		return Result{}, nil, err
 	}
 	start := time.Now()
-	stats, err := tkip.CollectTraceReaders(ingested, victim.FrameLen(),
+	stats, err := tkip.CollectTraceReaders(ingested.TKIP, victim.FrameLen(),
 		[]io.Reader{bytes.NewReader(capture.Bytes())}, 0, 0, false)
 	ingestTime := time.Since(start)
 	if err != nil {
@@ -108,7 +104,7 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if stats.Matched != p.Frames {
 		return Result{}, nil, fmt.Errorf("trace: TKIP ingest matched %d of %d frames", stats.Matched, p.Frames)
 	}
-	equal, err := snapshotsEqual(direct.WriteSnapshot, ingested.WriteSnapshot)
+	equal, err := snapshotsEqual(direct.Evidence, ingested.Evidence)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -140,46 +136,21 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 
 	// §6 side: TLS records through Ethernet/TCP reassembly into
 	// digraph/ABSAB statistics.
-	const secret = "Secur3C00kieVal+"
-	req, counterBase, err := netsim.AlignedRequest("site.com", "auth", secret, 64)
+	spec := job.Spec{Attack: "cookie", Mode: "exact", Seed: p.Seed, Secret: "Secur3C00kieVal+"}
+	directC, err := job.New(spec, nil, nil)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	cfg := cookieattack.Config{
-		CookieLen:   len(secret),
-		Offset:      req.CookieOffset(),
-		Plaintext:   req.Marshal(),
-		CounterBase: counterBase,
-		MaxGap:      128,
-		Charset:     httpmodel.CookieCharset(),
+	if err := directC.Capture(context.Background(), p.Records); err != nil {
+		return Result{}, nil, err
 	}
-	master := make([]byte, 48)
-	rand.New(rand.NewSource(p.Seed)).Read(master)
-	newVictim := func() (*netsim.HTTPSVictim, error) {
-		return netsim.NewHTTPSVictim(master, req)
-	}
-	directC, err := cookieattack.New(cfg)
+	_, req, err := job.CookieConfig(spec.Secret)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	cv, err := newVictim()
+	wv, err := job.NewHTTPSVictim(spec.Seed, req)
 	if err != nil {
 		return Result{}, nil, err
-	}
-	collector := &tlsrec.CollectRequests{WantLen: cv.RecordPlaintextLen()}
-	var observeErr error
-	for i := uint64(0); i < p.Records; i++ {
-		rec := cv.SendRequest()
-		if err := collector.Feed(rec, func(body []byte) {
-			if oerr := directC.ObserveRecord(body); oerr != nil && observeErr == nil {
-				observeErr = oerr
-			}
-		}); err != nil {
-			return Result{}, nil, err
-		}
-	}
-	if observeErr != nil {
-		return Result{}, nil, observeErr
 	}
 	var captureC bytes.Buffer
 	pwC, err := trace.NewPcapNGWriter(&captureC, trace.LinkTypeEthernet)
@@ -190,19 +161,16 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
-	wv, err := newVictim()
-	if err != nil {
-		return Result{}, nil, err
-	}
+	wantLen := wv.RecordPlaintextLen()
 	if err := wv.WriteTrace(sw, p.Records); err != nil {
 		return Result{}, nil, err
 	}
-	ingestedC, err := cookieattack.New(cfg)
+	ingestedC, err := job.New(spec, nil, nil)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	start = time.Now()
-	statsC, err := cookieattack.CollectTraceReaders(ingestedC, cv.RecordPlaintextLen(),
+	statsC, err := cookieattack.CollectTraceReaders(ingestedC.Cookie, wantLen,
 		[]io.Reader{bytes.NewReader(captureC.Bytes())}, 0, 0, false)
 	ingestTimeC := time.Since(start)
 	if err != nil {
@@ -211,7 +179,7 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	if statsC.Matched != p.Records {
 		return Result{}, nil, fmt.Errorf("trace: TLS ingest matched %d of %d records", statsC.Matched, p.Records)
 	}
-	equal, err = snapshotsEqual(directC.WriteSnapshot, ingestedC.WriteSnapshot)
+	equal, err = snapshotsEqual(directC.Evidence, ingestedC.Evidence)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -219,7 +187,7 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 		return Result{}, nil, errors.New("trace: cookie evidence ingested from pcapng differs from direct capture")
 	}
 	start = time.Now()
-	if _, err := cookieattack.CollectTraceReaders(nil, cv.RecordPlaintextLen(),
+	if _, err := cookieattack.CollectTraceReaders(nil, wantLen,
 		[]io.Reader{bytes.NewReader(captureC.Bytes())}, 0, 0, false); err != nil {
 		return Result{}, nil, err
 	}
@@ -252,14 +220,15 @@ func TraceVsSim(p TraceParams) (Result, []cliutil.RunResult, error) {
 	}, results, nil
 }
 
-// snapshotsEqual compares two snapshot writers byte for byte.
-func snapshotsEqual(a, b func(io.Writer) error) (bool, error) {
-	var ba, bb bytes.Buffer
-	if err := a(&ba); err != nil {
+// snapshotsEqual compares two evidence snapshots byte for byte.
+func snapshotsEqual(a, b func() ([]byte, error)) (bool, error) {
+	ba, err := a()
+	if err != nil {
 		return false, err
 	}
-	if err := b(&bb); err != nil {
+	bb, err := b()
+	if err != nil {
 		return false, err
 	}
-	return bytes.Equal(ba.Bytes(), bb.Bytes()), nil
+	return bytes.Equal(ba, bb), nil
 }

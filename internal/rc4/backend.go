@@ -26,8 +26,8 @@ const (
 )
 
 // BackendEnv is the environment variable Resolve consults when the backend
-// is BackendAuto. Recognized values: "scalar", "multi" (alias "soa"), and
-// "" / "auto" for the compile-time default.
+// is BackendAuto. Recognized values: "scalar", "multi", and "" / "auto" for
+// the compile-time default.
 const BackendEnv = "RC4_BACKEND"
 
 func (b Backend) String() string {
@@ -42,20 +42,17 @@ func (b Backend) String() string {
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
-// ParseBackend maps a backend name to its Backend. "soa" is accepted as an
-// alias for "multi" (the batched kernels' state is laid out per lane, but
-// the backend grew out of — and is documented as — the SoA design; both
-// names appear in docs and CI).
+// ParseBackend maps a backend name to its Backend.
 func ParseBackend(name string) (Backend, error) {
 	switch name {
 	case "", "auto":
 		return BackendAuto, nil
 	case "scalar":
 		return BackendScalar, nil
-	case "multi", "soa":
+	case "multi":
 		return BackendMulti, nil
 	}
-	return BackendAuto, fmt.Errorf("rc4: unknown backend %q (want auto, scalar, multi, or soa)", name)
+	return BackendAuto, fmt.Errorf("rc4: unknown backend %q (want auto, scalar or multi)", name)
 }
 
 // Resolve turns a possibly-auto Backend into a concrete one: an explicit

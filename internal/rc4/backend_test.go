@@ -12,8 +12,8 @@ func TestParseBackend(t *testing.T) {
 		{"auto", BackendAuto, true},
 		{"scalar", BackendScalar, true},
 		{"multi", BackendMulti, true},
-		{"soa", BackendMulti, true},
-		{"SoA", 0, false},
+		{"soa", 0, false},
+		{"Multi", 0, false},
 		{"avx2", 0, false},
 	}
 	for _, c := range cases {
@@ -46,9 +46,9 @@ func TestBackendResolve(t *testing.T) {
 		t.Errorf("explicit multi with RC4_BACKEND=scalar resolved to %v, %v", got, err)
 	}
 
-	t.Setenv(BackendEnv, "soa")
+	t.Setenv(BackendEnv, "multi")
 	if got, err := BackendAuto.Resolve(); err != nil || got != BackendMulti {
-		t.Errorf("auto with RC4_BACKEND=soa resolved to %v, %v", got, err)
+		t.Errorf("auto with RC4_BACKEND=multi resolved to %v, %v", got, err)
 	}
 
 	t.Setenv(BackendEnv, "vliw")

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"rc4break/internal/cliutil"
+	"rc4break/internal/job"
 	"rc4break/internal/metrics"
 	"rc4break/internal/obs"
 	"rc4break/internal/online"
@@ -377,7 +379,7 @@ func (s *Server) runJob(j *Job) {
 			return
 		}
 	}
-	rt, err := newJobRuntime(spec, evidence, model)
+	jb, err := buildJob(spec, evidence, model)
 	if err != nil {
 		s.finishFailed(j, man.Observed, man.Rounds, online.Result{}, err)
 		return
@@ -387,26 +389,23 @@ func (s *Server) runJob(j *Job) {
 		if err := s.sched.Acquire(man.Tenant); err != nil {
 			return err
 		}
-		s.markRunning(j, rt.observed())
+		s.markRunning(j, jb.Observed())
 		return nil
 	}
-	feed := &chunkedFeed{
-		chunk:    spec.CaptureChunk,
-		observed: rt.observed,
-		capture: func(target uint64) error {
-			gs := s.cfg.Tracer.Start(jobCtx, "job.granule", obs.U64("target", target))
-			t0 := time.Now() //rc4lint:allow timing granule-latency histogram only; never reaches evidence or persisted state
-			err := rt.capture(target)
-			s.granuleSeconds.ObserveDuration(time.Since(t0)) //rc4lint:allow timing granule-latency histogram only
-			gs.End()
-			return err
-		},
-		gate:      gate,
-		ungate:    s.sched.Release,
-		onAdvance: func(n uint64) { s.obsTotal.Add(float64(n)) },
+	feed := jb.Feed(context.Background(), spec.CaptureChunk)
+	capture := feed.Capture
+	feed.Capture = func(target uint64) error {
+		gs := s.cfg.Tracer.Start(jobCtx, "job.granule", obs.U64("target", target))
+		t0 := time.Now() //rc4lint:allow timing granule-latency histogram only; never reaches evidence or persisted state
+		err := capture(target)
+		s.granuleSeconds.ObserveDuration(time.Since(t0)) //rc4lint:allow timing granule-latency histogram only
+		gs.End()
+		return err
 	}
+	feed.Gate, feed.Ungate = gate, s.sched.Release
+	feed.OnAdvance = func(n uint64) { s.obsTotal.Add(float64(n)) }
 	dec := &gatedDecoder{
-		Decoder: rt.decoder,
+		Decoder: jb.Decoder(),
 		feed:    feed,
 		gate:    gate,
 		ungate:  s.sched.Release,
@@ -425,7 +424,7 @@ func (s *Server) runJob(j *Job) {
 	sinceCheckpoint := 0
 	res, runErr := online.Run(online.Config{
 		Decoder:       dec,
-		Oracle:        rt.oracle,
+		Oracle:        jb.Oracle,
 		Cadence:       spec.cadence(),
 		MaxCandidates: spec.MaxCandidates,
 		Budget:        spec.Budget,
@@ -436,21 +435,21 @@ func (s *Server) runJob(j *Job) {
 			if persist {
 				sinceCheckpoint = 0
 			}
-			return s.checkpoint(j, rt, dec.rounds, persist)
+			return s.checkpoint(j, jb, dec.rounds, persist)
 		},
 	})
 	switch {
 	case runErr == nil, errors.Is(runErr, online.ErrBudgetExhausted):
 		outcome = StateDone
-		s.finishDone(j, rt, dec.rounds, res, runErr)
+		s.finishDone(j, jb, dec.rounds, res, runErr)
 	case errors.Is(runErr, errDrained):
 		outcome = StateSuspended
-		s.suspend(j, rt, dec.rounds)
+		s.suspend(j, jb, dec.rounds)
 	case errors.Is(runErr, errInterrupted):
 		outcome = "interrupted"
 		// Crash simulation: no writes, no events — the process "died".
 	default:
-		s.finishFailed(j, rt.observed(), dec.rounds, res, runErr)
+		s.finishFailed(j, jb.Observed(), dec.rounds, res, runErr)
 	}
 }
 
@@ -505,14 +504,14 @@ func (s *Server) markRunning(j *Job, observed uint64) {
 
 // checkpoint records round progress and, when persist is set, writes the
 // evidence blob + manifest so a crash from here resumes at this round.
-func (s *Server) checkpoint(j *Job, rt *jobRuntime, rounds int, persist bool) error {
-	observed := rt.observed()
+func (s *Server) checkpoint(j *Job, jb *job.Job, rounds int, persist bool) error {
+	observed := jb.Observed()
 	j.mu.Lock()
 	j.man.Observed = observed
 	j.man.Rounds = rounds
 	j.mu.Unlock()
 	if persist {
-		snap, err := rt.evidence()
+		snap, err := jb.Evidence()
 		if err != nil {
 			return err
 		}
@@ -534,8 +533,8 @@ func (s *Server) checkpoint(j *Job, rt *jobRuntime, rounds int, persist bool) er
 
 // persistFinal writes the job's final evidence blob (always, regardless of
 // CheckpointRounds) and its terminal manifest.
-func (s *Server) persistFinal(j *Job, rt *jobRuntime) error {
-	snap, err := rt.evidence()
+func (s *Server) persistFinal(j *Job, jb *job.Job) error {
+	snap, err := jb.Evidence()
 	if err != nil {
 		return err
 	}
@@ -550,10 +549,10 @@ func (s *Server) persistFinal(j *Job, rt *jobRuntime) error {
 	return s.store.PutManifest(man)
 }
 
-func (s *Server) finishDone(j *Job, rt *jobRuntime, rounds int, res online.Result, runErr error) {
+func (s *Server) finishDone(j *Job, jb *job.Job, rounds int, res online.Result, runErr error) {
 	j.mu.Lock()
 	j.man.State = StateDone
-	j.man.Observed = rt.observed()
+	j.man.Observed = jb.Observed()
 	j.man.Rounds = rounds
 	j.man.Result = JobResult{
 		Success:   runErr == nil,
@@ -567,7 +566,7 @@ func (s *Server) finishDone(j *Job, rt *jobRuntime, rounds int, res online.Resul
 	}
 	man := j.man
 	j.mu.Unlock()
-	if err := s.persistFinal(j, rt); err != nil {
+	if err := s.persistFinal(j, jb); err != nil {
 		s.finishFailed(j, man.Observed, rounds, res, err)
 		return
 	}
@@ -600,14 +599,14 @@ func (s *Server) finishFailed(j *Job, observed uint64, rounds int, res online.Re
 // suspend is the drain path: checkpoint the evidence exactly where the
 // scheduler stopped granting (a granule boundary) and mark the job
 // suspended; Resume on a restarted server picks it up from here.
-func (s *Server) suspend(j *Job, rt *jobRuntime, rounds int) {
+func (s *Server) suspend(j *Job, jb *job.Job, rounds int) {
 	j.mu.Lock()
 	j.man.State = StateSuspended
-	j.man.Observed = rt.observed()
+	j.man.Observed = jb.Observed()
 	j.man.Rounds = rounds
 	man := j.man
 	j.mu.Unlock()
-	if err := s.persistFinal(j, rt); err != nil {
+	if err := s.persistFinal(j, jb); err != nil {
 		s.logf("job %s: suspend checkpoint failed: %v", man.ID, err)
 	}
 	s.terminalEvent(j, StateSuspended, man.Observed, rounds, "drained; resumable from checkpoint")

@@ -147,9 +147,10 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 			s.TrainKeys = 1 << 12
 		}
 		if s.Mode == "exact" {
-			// The exact stream is the demo session's TSC sequence; pinning
-			// the seed makes the stream identity honest (and equal-spec
-			// jobs dedup their evidence blobs).
+			// The exact stream is the demo session's TSC sequence, whose
+			// identity (job.Spec.Stream) has seed zero; zeroing the spec's
+			// seed makes specs that differ only in it one job, so they
+			// dedup to one evidence blob.
 			s.Seed = 0
 		}
 	default:

@@ -165,20 +165,16 @@ func TestAttackMergeShardsEqualSinglePool(t *testing.T) {
 	}
 }
 
-func TestLoadModelLegacyGobStream(t *testing.T) {
-	// Models written before the snapshot envelope were bare gob streams;
-	// LoadModel must still read them.
+func TestLoadModelRejectsBareGob(t *testing.T) {
+	// Models are only ever written through the snapshot envelope; a bare
+	// gob stream of the same value is not a model file.
 	m := SyntheticModel(4, 1.0/512, 5)
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(m); err != nil {
+	var bare bytes.Buffer
+	if err := gob.NewEncoder(&bare).Encode(m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadModel(&legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Positions != m.Positions || got.Keys != m.Keys || !equalCounts(got.Counts, m.Counts) {
-		t.Fatal("legacy model altered by load")
+	if _, err := LoadModel(&bare); !errors.Is(err, snapshot.ErrNotSnapshot) {
+		t.Fatalf("bare gob model: want snapshot.ErrNotSnapshot, got %v", err)
 	}
 }
 

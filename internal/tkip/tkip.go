@@ -87,17 +87,28 @@ func (s *Session) micMessage(msdu []byte) []byte {
 // append MIC and ICV, then RC4-encrypt under the mixed per-packet key
 // (Figure 2).
 func (s *Session) Encapsulate(msdu []byte, tsc TSC) Frame {
+	plain := s.plaintext(msdu)
+	key := MixKey(s.TK, s.TA, tsc)
+	c := rc4.MustNew(key[:])
+	c.XORKeyStream(plain, plain)
+	return Frame{TSC: tsc, Body: plain}
+}
+
+// Trailer returns the plaintext MIC‖ICV that Encapsulate appends to msdu:
+// the bytes the attack recovers, and what the model-mode simulation feeds
+// the sampler.
+func (s *Session) Trailer(msdu []byte) []byte {
+	return s.plaintext(msdu)[len(msdu):]
+}
+
+// plaintext is the frame body before encryption: msdu ‖ MIC ‖ ICV.
+func (s *Session) plaintext(msdu []byte) []byte {
 	mic := michael.Sum(s.MICKey, s.micMessage(msdu))
 	plain := make([]byte, 0, len(msdu)+TrailerSize)
 	plain = append(plain, msdu...)
 	plain = append(plain, mic[:]...)
 	icv := checksum.ICV(plain)
-	plain = append(plain, icv[:]...)
-
-	key := MixKey(s.TK, s.TA, tsc)
-	c := rc4.MustNew(key[:])
-	c.XORKeyStream(plain, plain)
-	return Frame{TSC: tsc, Body: plain}
+	return append(plain, icv[:]...)
 }
 
 // ErrICV and ErrMIC are Decapsulate's integrity failures.
