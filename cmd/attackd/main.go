@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -72,7 +71,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := obs.NewServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(l) }()
 	fmt.Printf("[attackd] job API on http://%s (store %s, capacity %d)\n", l.Addr(), *dir, *capacity)

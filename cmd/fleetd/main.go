@@ -213,6 +213,7 @@ func main() {
 		reg.GaugeFunc("fleetd_lanes_done", "capture lanes fully merged",
 			func() float64 { _, _, lanesDone := coord.Stats(); return float64(lanesDone) })
 		metrics.RuntimeGauges(reg)
+		obs.DroppedSpansGauge(reg, "fleetd", journal)
 		mux := http.NewServeMux()
 		mux.Handle("GET /metrics", reg.Handler())
 		mux.Handle("GET /healthz", metrics.Healthz(func() error { return nil }))
@@ -222,7 +223,7 @@ func main() {
 			fatal(err)
 		}
 		httpErr := make(chan error, 1)
-		go func() { httpErr <- http.Serve(hl, mux) }()
+		go func() { httpErr <- obs.NewServer(mux).Serve(hl) }()
 		fmt.Printf("[fleet] metrics on http://%s/metrics, spans on /debug/trace\n", hl.Addr())
 	}
 

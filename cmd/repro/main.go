@@ -5,7 +5,8 @@
 // with -timeout, cancelled with Ctrl-C (the experiment stops at the next
 // key boundary), and watched with -progress; the simulation-only drivers
 // (fig7, fig10, charset) are not context-aware — a second Ctrl-C
-// force-kills them.
+// force-kills them. DESIGN.md maps each -only key to the paper result it
+// reproduces.
 //
 // Usage:
 //
@@ -26,19 +27,146 @@ import (
 	"rc4break/internal/obs"
 )
 
+// params holds the scale flags the experiment drivers read.
+type params struct {
+	keys, tkipKeys                       uint64
+	ltKeys, ltBlocks, trials, candidates int
+}
+
+// experiment is one -only key and the driver that regenerates it.
+type experiment struct {
+	key string
+	run func(ctx context.Context) (experiments.Result, error)
+}
+
+// table lists every experiment in run order. The drivers read p when they
+// run, so the table can be built before the flags are parsed.
+func table(p *params) []experiment {
+	return []experiment{
+		{"table1", func(ctx context.Context) (experiments.Result, error) {
+			return experiments.Table1(ctx, [16]byte{1}, p.ltKeys, p.ltBlocks, 0)
+		}},
+		{"table2", func(ctx context.Context) (experiments.Result, error) {
+			return experiments.Table2(ctx, p.keys, 0)
+		}},
+		{"eq2", func(ctx context.Context) (experiments.Result, error) {
+			return experiments.ConsecutiveEq2(ctx, p.keys, 0)
+		}},
+		{"eq35", func(ctx context.Context) (experiments.Result, error) {
+			return experiments.Equalities(ctx, p.keys, 0)
+		}},
+		{"fig4", func(ctx context.Context) (experiments.Result, error) {
+			return experiments.Figure4(ctx, p.keys, 0, 96)
+		}},
+		{"fig5", func(ctx context.Context) (experiments.Result, error) {
+			return experiments.Figure5(ctx, p.keys, 0, nil)
+		}},
+		{"fig6", func(ctx context.Context) (experiments.Result, error) {
+			return experiments.Figure6(ctx, p.keys, 0)
+		}},
+		{"eq8", func(ctx context.Context) (experiments.Result, error) {
+			return experiments.LongTermZeroPairs(ctx, [16]byte{2}, p.ltKeys, p.ltBlocks, 0)
+		}},
+		{"broadcast", func(ctx context.Context) (experiments.Result, error) {
+			return experiments.BroadcastAttack(ctx, p.keys, p.keys, 16, 0)
+		}},
+		{"absab", func(ctx context.Context) (experiments.Result, error) {
+			return experiments.ABSABGapVerification(ctx, [16]byte{4}, p.ltKeys, p.ltBlocks, nil, 0)
+		}},
+		{"eq9", func(ctx context.Context) (experiments.Result, error) {
+			return experiments.Equation9Search(ctx, [16]byte{5}, p.ltKeys, p.ltBlocks, nil, 0)
+		}},
+		{"fig7", func(context.Context) (experiments.Result, error) {
+			return experiments.Figure7(7, nil, p.trials, 128), nil
+		}},
+		{"fig89", func(ctx context.Context) (experiments.Result, error) {
+			return experiments.Figures8and9(experiments.TKIPParams{
+				KeysPerTSC: p.tkipKeys, Trials: p.trials, Seed: 1, Ctx: ctx,
+			})
+		}},
+		{"fig10", func(context.Context) (experiments.Result, error) {
+			return experiments.Figure10(experiments.CookieParams{
+				Trials: p.trials, Candidates: p.candidates, Seed: 2,
+			})
+		}},
+		{"online", func(context.Context) (experiments.Result, error) {
+			return experiments.OnlineCookieRecords(experiments.OnlineCookieParams{
+				Trials: p.trials, Candidates: p.candidates, Seed: 2,
+			})
+		}},
+		{"placement", func(ctx context.Context) (experiments.Result, error) {
+			trainKeys := p.tkipKeys
+			if trainKeys == 0 {
+				trainKeys = 1 << 10 // placement always measures a trained model
+			}
+			return experiments.PayloadPlacement(ctx, trainKeys, 0)
+		}},
+		{"charset", func(context.Context) (experiments.Result, error) {
+			return experiments.CharsetAblation(3, 9<<27, p.trials, p.candidates)
+		}},
+	}
+}
+
+// keys returns the table's keys in run order.
+func keys(exps []experiment) []string {
+	out := make([]string, len(exps))
+	for i, e := range exps {
+		out[i] = e.key
+	}
+	return out
+}
+
+// selectExperiments returns the experiments named by the comma-separated
+// -only value, in table order; an empty value selects all of them. A key
+// not in the table is an error naming the valid keys.
+func selectExperiments(exps []experiment, only string) ([]experiment, error) {
+	if strings.TrimSpace(only) == "" {
+		return exps, nil
+	}
+	valid := map[string]bool{}
+	for _, e := range exps {
+		valid[e.key] = true
+	}
+	want := map[string]bool{}
+	for _, k := range strings.Split(only, ",") {
+		k = strings.TrimSpace(k)
+		if k == "" {
+			continue
+		}
+		if !valid[k] {
+			return nil, fmt.Errorf("-only: unknown experiment %q (valid: %s)", k, strings.Join(keys(exps), ","))
+		}
+		want[k] = true
+	}
+	var out []experiment
+	for _, e := range exps {
+		if want[e.key] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
+
 func main() {
-	keys := flag.Uint64("keys", 1<<20, "random keys for short-term bias experiments")
-	ltKeys := flag.Int("ltkeys", 32, "keys for long-term experiments (each generates -ltblocks*256 bytes)")
-	ltBlocks := flag.Int("ltblocks", 4096, "256-byte blocks per long-term key")
-	trials := flag.Int("trials", 16, "simulation trials per point (paper: 256-2048)")
-	candidates := flag.Int("candidates", 1<<12, "cookie candidate list depth (paper: 2^23)")
-	tkipKeys := flag.Uint64("tkipkeys", 1<<12, "training keys per TSC class (paper: 2^32)")
+	var p params
+	exps := table(&p)
+	flag.Uint64Var(&p.keys, "keys", 1<<20, "random keys for short-term bias experiments")
+	flag.IntVar(&p.ltKeys, "ltkeys", 32, "keys for long-term experiments (each generates -ltblocks*256 bytes)")
+	flag.IntVar(&p.ltBlocks, "ltblocks", 4096, "256-byte blocks per long-term key")
+	flag.IntVar(&p.trials, "trials", 16, "simulation trials per point (paper: 256-2048)")
+	flag.IntVar(&p.candidates, "candidates", 1<<12, "cookie candidate list depth (paper: 2^23)")
+	flag.Uint64Var(&p.tkipKeys, "tkipkeys", 1<<12, "training keys per TSC class (paper: 2^32)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	progress := flag.Bool("progress", false, "report keystream-generation progress on stderr")
-	only := flag.String("only", "", "comma-separated subset: table1,table2,eq2,eq35,fig4,fig5,fig6,eq8,broadcast,absab,eq9,fig7,fig89,fig10,online,fleet,service,trace,placement,charset")
-	jsonOut := flag.Bool("json", false, "append machine-readable JSON result lines for experiments that produce them (trace)")
+	only := flag.String("only", "", "comma-separated subset: "+strings.Join(keys(exps), ","))
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run (one span per experiment, engine shard spans nested) to this file")
 	flag.Parse()
+
+	selected, err := selectExperiments(exps, *only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "repro:", err)
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -68,43 +196,25 @@ func main() {
 		})
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
-	}
-
 	// With -trace-out, each selected experiment gets one span under a shared
 	// run span, and the engine's run/shard spans nest beneath via the
 	// context; the journal is dumped as a Chrome trace-event file at exit.
 	var (
-		journal  *obs.Journal
-		runSpan  *obs.Span
-		expSpan  *obs.Span
-		traceCtx context.Context // journal-bearing base the per-experiment contexts derive from
+		journal *obs.Journal
+		runSpan *obs.Span
+		expSpan *obs.Span
 	)
 	if *traceOut != "" {
 		journal = obs.NewJournal("repro", obs.DefaultCapacity)
 		runSpan = journal.Start(obs.SpanContext{}, "repro.run",
-			obs.U64("keys", *keys), obs.Int("trials", int64(*trials)))
-		traceCtx = obs.NewContext(ctx, journal)
-	}
-	run := func(key string) bool {
-		ok := len(want) == 0 || want[key]
-		if ok && journal != nil {
-			expSpan.End() // close the previous experiment's span (nil-safe)
-			expSpan = journal.Start(runSpan.Context(), "repro."+key)
-			ctx = obs.WithParent(traceCtx, expSpan.Context())
-		}
-		return ok
+			obs.U64("keys", p.keys), obs.Int("trials", int64(p.trials)))
+		ctx = obs.NewContext(ctx, journal)
 	}
 	flushTrace := func() {
 		if journal == nil {
 			return
 		}
 		expSpan.End()
-		expSpan = nil
 		runSpan.End()
 		if err := obs.WriteChromeFile(*traceOut, journal); err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
@@ -112,173 +222,22 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "repro: chrome trace -> %s\n", *traceOut)
 	}
-	fail := func(err error) {
-		if progressLineOpen.Load() {
-			fmt.Fprintln(os.Stderr) // close the partial \r-progress line
-		}
-		flushTrace()
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
-	}
 
-	if run("table1") {
-		res, err := experiments.Table1(ctx, [16]byte{1}, *ltKeys, *ltBlocks, 0)
-		if err != nil {
-			fail(err)
+	for _, e := range selected {
+		expCtx := ctx
+		if journal != nil {
+			expSpan.End() // close the previous experiment's span (nil-safe)
+			expSpan = journal.Start(runSpan.Context(), "repro."+e.key)
+			expCtx = obs.WithParent(ctx, expSpan.Context())
 		}
-		res.Render(os.Stdout)
-	}
-	if run("table2") {
-		res, err := experiments.Table2(ctx, *keys, 0)
+		res, err := e.run(expCtx)
 		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("eq2") {
-		res, err := experiments.ConsecutiveEq2(ctx, *keys, 0)
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("eq35") {
-		res, err := experiments.Equalities(ctx, *keys, 0)
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("fig4") {
-		res, err := experiments.Figure4(ctx, *keys, 0, 96)
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("fig5") {
-		res, err := experiments.Figure5(ctx, *keys, 0, nil)
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("fig6") {
-		res, err := experiments.Figure6(ctx, *keys, 0)
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("eq8") {
-		res, err := experiments.LongTermZeroPairs(ctx, [16]byte{2}, *ltKeys, *ltBlocks, 0)
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("broadcast") {
-		res, err := experiments.BroadcastAttack(ctx, *keys, *keys, 16, 0)
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("absab") {
-		res, err := experiments.ABSABGapVerification(ctx, [16]byte{4}, *ltKeys, *ltBlocks, nil, 0)
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("eq9") {
-		res, err := experiments.Equation9Search(ctx, [16]byte{5}, *ltKeys, *ltBlocks, nil, 0)
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("fig7") {
-		res := experiments.Figure7(7, nil, *trials, 128)
-		res.Render(os.Stdout)
-	}
-	if run("fig89") {
-		res, err := experiments.Figures8and9(experiments.TKIPParams{
-			KeysPerTSC: *tkipKeys,
-			Trials:     *trials,
-			Seed:       1,
-			Ctx:        ctx,
-		})
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("fig10") {
-		res, err := experiments.Figure10(experiments.CookieParams{
-			Trials:     *trials,
-			Candidates: *candidates,
-			Seed:       2,
-		})
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("online") {
-		res, err := experiments.OnlineCookieRecords(experiments.OnlineCookieParams{
-			Trials:     *trials,
-			Candidates: *candidates,
-			Seed:       2,
-		})
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("fleet") {
-		res, err := experiments.FleetVsSingle(experiments.FleetParams{})
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("service") {
-		res, err := experiments.ServiceVsSolo(experiments.ServiceParams{})
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("trace") {
-		res, results, err := experiments.TraceVsSim(experiments.TraceParams{})
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-		if *jsonOut {
-			for _, r := range results {
-				if err := r.Write(os.Stdout); err != nil {
-					fail(err)
-				}
+			if progressLineOpen.Load() {
+				fmt.Fprintln(os.Stderr) // close the partial \r-progress line
 			}
-		}
-	}
-	if run("placement") {
-		trainKeys := *tkipKeys
-		if trainKeys == 0 {
-			trainKeys = 1 << 10 // placement always measures a trained model
-		}
-		res, err := experiments.PayloadPlacement(ctx, trainKeys, 0)
-		if err != nil {
-			fail(err)
-		}
-		res.Render(os.Stdout)
-	}
-	if run("charset") {
-		res, err := experiments.CharsetAblation(3, 9<<27, *trials, *candidates)
-		if err != nil {
-			fail(err)
+			flushTrace()
+			fmt.Fprintln(os.Stderr, "repro:", err)
+			os.Exit(1)
 		}
 		res.Render(os.Stdout)
 	}

@@ -39,13 +39,6 @@ type RunResult struct {
 	Rounds  int    `json:"rounds,omitempty"`
 	Checks  uint64 `json:"checks,omitempty"`
 	Skipped uint64 `json:"skipped,omitempty"`
-	// ParseMBps and IngestMBps split a trace-mode run's capture throughput:
-	// ParseMBps is the parse-bound ceiling (container parsing, reassembly
-	// and record scanning with no attack attached) and IngestMBps is the
-	// full parse+fold pipeline. Both are measured over the same capture
-	// bytes, so their gap is the evidence-folding cost.
-	ParseMBps  float64 `json:"parse_mbps,omitempty"`
-	IngestMBps float64 `json:"ingest_mbps,omitempty"`
 	// CaptureMS/DecodeMS/OracleMS split the wall clock by phase; offline
 	// paths that do not separate decode from oracle report the combined
 	// time as DecodeMS.

@@ -17,7 +17,7 @@ type CookieParams struct {
 	// Trials per point (the paper uses 256).
 	Trials int
 	// Candidates is the brute-force list depth (the paper uses 2^23; the
-	// default is smaller — shape is preserved, see EXPERIMENTS.md).
+	// default is smaller — shape is preserved, see DESIGN.md).
 	Candidates int
 	MaxGap     int
 	Seed       int64

@@ -353,32 +353,3 @@ func TestOnlineCookieRecordsSmallScale(t *testing.T) {
 		t.Log("no trial succeeded at this scale (censored); curve still well-formed")
 	}
 }
-
-func TestTraceVsSim(t *testing.T) {
-	res, results, err := TraceVsSim(TraceParams{Frames: 2048, Records: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 || len(results) != 2 {
-		t.Fatalf("want 2 rows and 2 result lines, got %d/%d", len(res.Rows), len(results))
-	}
-	if len(res.Columns) != 5 || res.Columns[2] != "parse MB/s" || res.Columns[3] != "ingest MB/s" {
-		t.Fatalf("columns = %v, want the parse/ingest throughput split", res.Columns)
-	}
-	for _, row := range res.Rows {
-		if row.Values[4] != 1 {
-			t.Errorf("%s: not bitwise equal", row.Label)
-		}
-		if row.Values[2] <= 0 || row.Values[3] <= 0 {
-			t.Errorf("%s: non-positive throughput %v", row.Label, row.Values)
-		}
-	}
-	for _, r := range results {
-		if !r.Success || r.Mode != "trace" {
-			t.Errorf("result %+v: want trace-mode success", r)
-		}
-		if r.ParseMBps <= 0 || r.IngestMBps <= 0 {
-			t.Errorf("result %+v: missing parse/ingest throughput split", r)
-		}
-	}
-}

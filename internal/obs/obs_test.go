@@ -10,6 +10,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"rc4break/internal/metrics"
 )
 
 func TestNilJournalAndSpanAreNoOps(t *testing.T) {
@@ -321,5 +324,36 @@ func TestIDsNonZeroAndDistinct(t *testing.T) {
 			t.Fatalf("duplicate ID %x after %d draws", id, i)
 		}
 		seen[id] = true
+	}
+}
+
+func TestDroppedSpansGauge(t *testing.T) {
+	j := NewJournal("daemon", 4)
+	reg := metrics.NewRegistry()
+	DroppedSpansGauge(reg, "daemon", j)
+	for i := 0; i < 10; i++ {
+		j.Start(SpanContext{}, "op").End()
+	}
+	if _, dropped := j.Stats(); dropped != 6 {
+		t.Fatalf("journal dropped %d spans, want 6", dropped)
+	}
+	if out := reg.Render(); !strings.Contains(out, "\ndaemon_trace_spans_dropped 6\n") {
+		t.Fatalf("exposition missing daemon_trace_spans_dropped 6:\n%s", out)
+	}
+}
+
+func TestNewServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	s := NewServer(h)
+	if s.Handler != h {
+		t.Fatal("server does not serve the given handler")
+	}
+	if s.ReadHeaderTimeout != 10*time.Second || s.IdleTimeout != 2*time.Minute {
+		t.Fatalf("ReadHeaderTimeout=%v IdleTimeout=%v, want 10s and 2m", s.ReadHeaderTimeout, s.IdleTimeout)
+	}
+	// Streaming responses (the job API's /stream) outlive any fixed write
+	// deadline, and request bodies are bounded by the handlers instead.
+	if s.WriteTimeout != 0 || s.ReadTimeout != 0 {
+		t.Fatalf("WriteTimeout=%v ReadTimeout=%v, want none", s.WriteTimeout, s.ReadTimeout)
 	}
 }

@@ -65,10 +65,19 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSubmitBytes bounds a POST /api/v1/jobs body. A job spec is well under
+// 1 KB; anything near this limit is not a spec.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
 	st, err := s.Submit(req.Tenant, req.Spec)

@@ -34,6 +34,17 @@ func TestHTTPEndpoints(t *testing.T) {
 	if _, code, _ := submitHTTP(ts.URL, "x", JobSpec{Attack: "nope"}); code != http.StatusBadRequest {
 		t.Fatalf("bad spec: http %d, want 400", code)
 	}
+	// A body past the limit is 413 and creates no job (the list below
+	// holds exactly the two accepted jobs).
+	huge := `{"tenant":"alpha","spec":{"attack":"cookie","secret":"` + strings.Repeat("A", maxSubmitBytes) + `"}}`
+	resp, err = http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: http %d, want 413", resp.StatusCode)
+	}
 
 	if code, body := getBody(t, ts.URL+"/healthz"); code != http.StatusOK || !bytes.Contains(body, []byte("ok")) {
 		t.Fatalf("/healthz: http %d body %q", code, body)

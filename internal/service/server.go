@@ -136,6 +136,7 @@ func New(cfg Config) (*Server, error) {
 	s.httpSeconds = s.reg.Histogram("attackd_http_request_seconds",
 		"job API request service time", metrics.ExponentialBuckets(0.0001, 4, 10))
 	metrics.RuntimeGauges(s.reg)
+	obs.DroppedSpansGauge(s.reg, "attackd", cfg.Tracer)
 	for _, st := range JobStates {
 		state := st
 		s.reg.GaugeFunc("attackd_jobs", "jobs by lifecycle state",

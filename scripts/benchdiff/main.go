@@ -1,11 +1,9 @@
 // Command benchdiff compares two bench-JSON files (the scripts/benchjson /
 // cliutil.ParseBenchOutput format) and prints per-benchmark ns/op deltas,
 // worst regression first. With a nonzero -threshold it exits 1 when any
-// benchmark regressed beyond it — CI wires the module-wide diff warn-only
-// against the committed BENCH_*.json baseline, so perf drift is visible on
-// every run without blocking merges on a noisy shared runner:
+// benchmark regressed beyond it:
 //
-//	go run ./scripts/benchdiff -threshold 0.25 BENCH_pr5.json bench.json
+//	go run ./scripts/benchdiff -threshold 0.25 base.json bench.json
 //
 // With -gate the diff becomes a real CI gate over an allowlisted benchmark
 // family: only benchmarks whose name matches the regexp are compared, a
@@ -14,7 +12,7 @@
 // stops measuring must not silently pass). -min collapses `-count N`
 // repeats to the fastest run on both sides before diffing:
 //
-//	go run ./scripts/benchdiff -gate 'Keystream|Skip' -min -threshold 0.6 BENCH_pr5.json bench.json
+//	go run ./scripts/benchdiff -gate 'Keystream|Skip' -min -threshold 0.6 BENCH_pr5_kernel.json kernel.json
 //
 // The -gate family has a static sibling: scripts/bcecheck compiles the same
 // internal/rc4 kernels with -d=ssa/check_bce and fails CI when a bounds

@@ -1,12 +1,13 @@
 // Command benchjson converts `go test -bench` text output on stdin to
-// machine-readable JSON on stdout, so CI bench runs accumulate as diffable
-// perf-trajectory files:
+// machine-readable JSON on stdout, the input scripts/benchdiff compares.
+// CI's keystream, trace-ingest and span-overhead gates build both sides of
+// their diff with it:
 //
-//	go test -run '^$' -bench . -benchmem -benchtime 1x ./... | tee bench.txt
-//	go run ./scripts/benchjson < bench.txt > BENCH_pr5.json
+//	go test -run '^$' -bench 'BenchmarkKeystream|BenchmarkSkip' -benchtime 300ms -count 3 ./internal/rc4 > kernel.txt
+//	go run ./scripts/benchjson -min < kernel.txt > kernel.json
 //
 // -min collapses `-count N` repeats to the fastest run per benchmark — the
-// statistic the keystream perf gate diffs. Input containing no benchmark
+// statistic the gates diff. Input containing no benchmark
 // lines at all is an error (exit 1), never an empty JSON document: a bench
 // step whose output vanished is a broken bench step.
 package main
