@@ -9,10 +9,13 @@
 // Exact-mode capture seals (or transmits) in batches, scans (or filters)
 // them, and folds each batch through the batched fold
 // (cookieattack.ObserveRecords, tkip.ObserveFrames — bitwise the scalar
-// fold), checking its context between batches. Model-mode capture draws
-// each call's sufficient statistics from cliutil.ContinuationSeed at the
-// call's start, so model evidence depends on where calls split and every
-// driver keeps its historical split.
+// fold), checking its context between batches. TKIP frames are made by
+// netsim.WiFiVictim.TransmitBatch, keyed 32 at a time and fanned over the
+// spec's Workers; every frame depends only on its TSC, so the worker count
+// never changes a bit. Model-mode capture draws each call's sufficient
+// statistics from cliutil.ContinuationSeed at the call's start, so model
+// evidence depends on where calls split and every driver keeps its
+// historical split.
 package job
 
 import (
@@ -47,8 +50,8 @@ type Spec struct {
 	// Traces, when set, names capture files that stand in for the
 	// exact-mode victim: capture ingests them instead of simulating.
 	Traces []string
-	// Workers bounds fold, simulation and decode parallelism (0 =
-	// GOMAXPROCS).
+	// Workers bounds exact TKIP capture, fold, simulation and decode
+	// parallelism (0 = GOMAXPROCS).
 	Workers int
 }
 
@@ -68,11 +71,12 @@ func (s Spec) Stream() snapshot.StreamInfo {
 }
 
 // Fold batch sizes: a cookie batch keeps each half-megabyte ABSAB table
-// resident across 2048 records, and both sizes bound how long a cancelled
-// context waits for the capture to return.
+// resident across 2048 records, a frame batch gives every capture worker
+// whole 32-lane key groups, and both sizes bound how long a cancelled
+// context waits for the capture to return (a few milliseconds).
 const (
 	recordBatch = 2048
-	frameBatch  = 256
+	frameBatch  = 2048
 )
 
 // Job is one attack job bound to live state. Exactly one of Cookie and TKIP
@@ -253,9 +257,12 @@ func (j *Job) buildTKIP(evidence []byte, stream snapshot.StreamInfo, base uint64
 	case spec.Mode == "exact":
 		victim.Skip(base + a.Frames) // frames are independently keyed by TSC: O(1)
 		sniffer := netsim.NewSniffer(victim.FrameLen())
-		frames := make([]tkip.Frame, 0, frameBatch)
+		var sent, kept []tkip.Frame
 		j.capture = func(ctx context.Context, target uint64) error {
-			return captureFrames(ctx, a, victim, sniffer, frames, target)
+			if sent == nil {
+				sent, kept = make([]tkip.Frame, frameBatch), make([]tkip.Frame, 0, frameBatch)
+			}
+			return captureFrames(ctx, a, victim, sniffer, sent, kept, target)
 		}
 	default:
 		return fmt.Errorf("job: unknown mode %q", spec.Mode)
@@ -320,23 +327,26 @@ func captureRecords(ctx context.Context, a *cookieattack.Attack, v *netsim.HTTPS
 	return foldErr
 }
 
-// captureFrames is exact TKIP capture: the victim transmits, the sniffer
-// keeps unique-length frames with fresh TSCs (§5.4), and each batch folds
-// through ObserveFrames. It stops at exactly target frames, or between
-// batches when ctx is done.
-func captureFrames(ctx context.Context, a *tkip.Attack, v *netsim.WiFiVictim, s *netsim.Sniffer, frames []tkip.Frame, target uint64) error {
+// captureFrames is exact TKIP capture: the victim transmits a batch of up
+// to frameBatch frames over a.Workers, the sniffer keeps unique-length
+// frames with fresh TSCs (§5.4) in frame order, and the kept frames fold
+// through ObserveFrames. sent's bodies are reused batch to batch; kept
+// holds views of them, so the fold finishes before the next batch. It
+// stops at exactly target frames, or between batches when ctx is done.
+func captureFrames(ctx context.Context, a *tkip.Attack, v *netsim.WiFiVictim, s *netsim.Sniffer, sent, kept []tkip.Frame, target uint64) error {
 	for a.Frames < target {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		k := min(target-a.Frames, frameBatch)
-		frames = frames[:0]
-		for i := uint64(0); i < k; i++ {
-			if f := v.Transmit(); s.Filter(f) {
-				frames = append(frames, f)
+		batch := sent[:min(target-a.Frames, frameBatch)]
+		v.TransmitBatch(batch, a.Workers)
+		kept = kept[:0]
+		for _, f := range batch {
+			if s.Filter(f) {
+				kept = append(kept, f)
 			}
 		}
-		a.ObserveFrames(frames)
+		a.ObserveFrames(kept)
 	}
 	return nil
 }

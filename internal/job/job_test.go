@@ -216,6 +216,41 @@ func TestLanesMatchSoloRun(t *testing.T) {
 	}
 }
 
+// TestExactTKIPWorkersInvariant pins batched exact TKIP capture, whose
+// frames are keyed in lane groups fanned over Workers, against the scalar
+// per-frame capture: the evidence must be byte-identical for every worker
+// count and however the capture is split into calls (mid-group, mid-batch,
+// granule-sized).
+func TestExactTKIPWorkersInvariant(t *testing.T) {
+	const n = 5000
+	spec := service.JobSpec{Attack: "tkip", Mode: "exact", TrainKeys: 1 << 6, Budget: n}
+	want := scalarCapture(t, spec)
+	m := model(t, spec)
+	splits := [][]uint64{{n}, {1, 33, 2048 + 5, n}, {700, 1400, 2100, 2800, 3500, 4200, 4900, n}}
+	for workers := 1; workers <= 3; workers++ {
+		for _, split := range splits {
+			js := jobSpec(spec)
+			js.Workers = workers
+			j, err := job.New(js, nil, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, at := range split {
+				if err := j.Capture(context.Background(), at); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := j.Evidence()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("workers %d, split %v: evidence differs from the scalar capture", workers, split)
+			}
+		}
+	}
+}
+
 // merge folds one lane snapshot into the pool.
 func merge(pool *job.Job, snap []byte) error {
 	if pool.Cookie != nil {

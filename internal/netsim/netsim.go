@@ -44,6 +44,9 @@ type WiFiVictim struct {
 	Session *tkip.Session
 	MSDU    []byte
 	next    uint64
+	// enc holds the TSC-invariant half of every transmission, prepared on
+	// the first one: Session and MSDU are fixed from then on.
+	enc *tkip.Encapsulator
 }
 
 // NewWiFiVictim builds the victim with the paper's preferred packet shape:
@@ -70,14 +73,37 @@ func NewWiFiVictim(s *tkip.Session, payload []byte) *WiFiVictim {
 	return &WiFiVictim{Session: s, MSDU: m.Marshal()}
 }
 
-// Transmit encrypts and "sends" the next retransmission. The full TSC
-// increments (fresh per-packet key) while TSC1 stays 0 and TSC0 cycles, so
-// captures stay inside the trained per-TSC class space.
+// Transmit encrypts and "sends" the next retransmission through a scalar
+// RC4 cipher. The full TSC increments (fresh per-packet key) while TSC1
+// stays 0 and TSC0 cycles, so captures stay inside the trained per-TSC
+// class space.
 func (v *WiFiVictim) Transmit() tkip.Frame {
-	i := v.next
+	tsc := victimTSC(v.next)
 	v.next++
-	tsc := tkip.TSC(i<<16 | i&0xff)
-	return v.Session.Encapsulate(v.MSDU, tsc)
+	return v.encapsulator().Frame(tsc)
+}
+
+// TransmitBatch fills dst with the next len(dst) retransmissions — exactly
+// the frames that many Transmit calls would return — keying them
+// rc4.MultiLanes at a time and fanning lane-aligned slices over workers
+// (0 = GOMAXPROCS). Bodies already in dst are reused when large enough
+// (see tkip.Encapsulator.Batch).
+func (v *WiFiVictim) TransmitBatch(dst []tkip.Frame, workers int) {
+	for i := range dst {
+		dst[i].TSC = victimTSC(v.next + uint64(i))
+	}
+	v.next += uint64(len(dst))
+	v.encapsulator().Batch(dst, workers)
+}
+
+// victimTSC is the TSC of transmission i (see Transmit).
+func victimTSC(i uint64) tkip.TSC { return tkip.TSC(i<<16 | i&0xff) }
+
+func (v *WiFiVictim) encapsulator() *tkip.Encapsulator {
+	if v.enc == nil {
+		v.enc = v.Session.Encapsulator(v.MSDU)
+	}
+	return v.enc
 }
 
 // FrameLen reports the on-air body length — the unique length the sniffer
@@ -93,17 +119,18 @@ func (v *WiFiVictim) FrameLen() int { return len(v.MSDU) + tkip.TrailerSize }
 func (v *WiFiVictim) Skip(n uint64) { v.next += n }
 
 // Sniffer filters captured frames by the injected packet's unique length
-// and de-duplicates retransmissions of the same TSC (§5.4).
+// and de-duplicates retransmissions of the same TSC (§5.4) through the
+// bounded tkip.TSCWindow, the rule trace ingest applies too.
 type Sniffer struct {
 	WantLen  int
-	seen     map[tkip.TSC]struct{}
+	window   tkip.TSCWindow
 	Captured uint64
 	Dropped  uint64
 }
 
 // NewSniffer creates a sniffer for frames of the given body length.
 func NewSniffer(wantLen int) *Sniffer {
-	return &Sniffer{WantLen: wantLen, seen: make(map[tkip.TSC]struct{})}
+	return &Sniffer{WantLen: wantLen}
 }
 
 // Filter reports whether the frame is an injected-packet capture that has
@@ -113,11 +140,10 @@ func (sn *Sniffer) Filter(f tkip.Frame) bool {
 		sn.Dropped++
 		return false
 	}
-	if _, dup := sn.seen[f.TSC]; dup {
+	if !sn.window.Accept(f.TSC) {
 		sn.Dropped++
 		return false
 	}
-	sn.seen[f.TSC] = struct{}{}
 	sn.Captured++
 	return true
 }

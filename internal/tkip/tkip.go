@@ -16,6 +16,7 @@ package tkip
 
 import (
 	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 
@@ -45,16 +46,28 @@ func (t TSC) PublicKeyBytes() (k0, k1, k2 byte) {
 // AES-based PRF of (TA, TSC) under TK — the uniform-random model of §2.2 —
 // and bytes 0..2 follow the mandated TSC structure.
 func MixKey(tk [16]byte, ta [6]byte, tsc TSC) [16]byte {
+	var key [16]byte
+	mixKey(&key, tkBlock(tk), ta, tsc)
+	return key
+}
+
+// tkBlock is the AES block MixKey's PRF runs under.
+func tkBlock(tk [16]byte) cipher.Block {
 	block, err := aes.NewCipher(tk[:])
 	if err != nil {
 		panic("tkip: impossible AES key error: " + err.Error())
 	}
-	var in, out [16]byte
-	copy(in[:6], ta[:])
-	binary.BigEndian.PutUint64(in[6:14], uint64(tsc))
-	block.Encrypt(out[:], in[:])
+	return block
+}
+
+// mixKey is MixKey under a prepared TK block, writing the key into out so
+// callers that mix many keys allocate nothing per key.
+func mixKey(out *[16]byte, block cipher.Block, ta [6]byte, tsc TSC) {
+	copy(out[:6], ta[:])
+	binary.BigEndian.PutUint64(out[6:14], uint64(tsc))
+	out[14], out[15] = 0, 0
+	block.Encrypt(out[:], out[:])
 	out[0], out[1], out[2] = tsc.PublicKeyBytes()
-	return out
 }
 
 // Session holds the keys of one TKIP direction (AP to client or reverse).

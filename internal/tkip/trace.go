@@ -13,10 +13,10 @@ import (
 // radiotap or bare 802.11) into an Attack's per-TSC statistics. Filtering
 // follows netsim.Sniffer exactly — the injected packet is identified by
 // its unique on-air body length and retransmissions are de-duplicated by
-// TSC ("thanks to the 7-byte payload, we uniquely detected the injected
-// packet ... without any false positives") — so evidence ingested from a
-// capture netsim wrote is bitwise identical to what the in-process sniffer
-// hands the attack.
+// TSC through the same TSCWindow ("thanks to the 7-byte payload, we
+// uniquely detected the injected packet ... without any false
+// positives") — so evidence ingested from a capture netsim wrote is
+// bitwise identical to what the in-process sniffer hands the attack.
 
 // ErrTraceShort reports a strict observation-range ingest (a fleet lane)
 // that ran out of capture before the range was filled.
@@ -24,21 +24,49 @@ var ErrTraceShort = errors.New("tkip: capture ended before the requested observa
 
 // dedupWindow bounds the TSC de-duplication state: 802.11 retransmissions
 // arrive within a handful of frames of their original, so remembering the
-// last 2^16 accepted TSCs catches every real retry while keeping ingest
-// memory O(MB) on arbitrarily long traces (an unbounded seen-set — what
-// netsim.Sniffer affords in-process — would grow by 8 bytes per frame).
+// last 2^16 accepted TSCs catches every real retry while keeping memory
+// O(MB) on arbitrarily long captures (an unbounded seen-set would grow by
+// 8 bytes per frame — hundreds of MB at §5.4's ≈9.5·2^20 frames an hour).
+const dedupWindow = 1 << 16
+
+// TSCWindow is the one TSC de-duplication rule, shared by the in-process
+// netsim.Sniffer and trace ingest so both accept exactly the same frames.
 //
 // Eviction is strictly FIFO over accepted TSCs: accepting TSC number
 // window+1 evicts the oldest remembered TSC, after which a re-appearance of
-// that evicted TSC is accepted again — counted in Stats.Matched (and folded
-// as evidence), not Stats.Duplicates. That is the deliberate trade: a
+// that evicted TSC is accepted again. That is the deliberate trade: a
 // duplicate separated from its original by 2^16 accepted frames is not an
 // 802.11 retransmission but a replay or a TSC wrap, and on a monotone-TSC
 // capture (what the injection scenario produces) it never happens. A
-// membership probe alone does not refresh or evict anything — only
-// acceptance advances the ring. TestTraceDedupWindowEviction pins all of
-// this at the boundary.
-const dedupWindow = 1 << 16
+// rejected TSC neither refreshes nor evicts anything — only acceptance
+// advances the ring. TestTraceDedupWindowEviction pins all of this at the
+// boundary. The zero value is an empty window.
+type TSCWindow struct {
+	seen  map[TSC]struct{}
+	order []TSC // accepted TSCs, a ring once full
+	next  int
+}
+
+// Accept reports whether t is fresh — not among the last dedupWindow
+// accepted TSCs — and remembers it if so.
+func (w *TSCWindow) Accept(t TSC) bool {
+	if w.seen == nil {
+		w.seen = make(map[TSC]struct{}, dedupWindow)
+		w.order = make([]TSC, 0, dedupWindow)
+	}
+	if _, dup := w.seen[t]; dup {
+		return false
+	}
+	if len(w.order) < dedupWindow {
+		w.order = append(w.order, t)
+	} else {
+		delete(w.seen, w.order[w.next])
+		w.order[w.next] = t
+		w.next = (w.next + 1) % dedupWindow
+	}
+	w.seen[t] = struct{}{}
+	return true
+}
 
 // frameBatch is how many accepted frames the collector buffers before one
 // ObserveFrames call. Frame bodies are views into the container reader's
@@ -85,9 +113,7 @@ type TraceCollector struct {
 	Stats      TraceStats
 
 	accepted uint64
-	seen     map[TSC]struct{}
-	order    []TSC
-	next     int
+	window   TSCWindow
 
 	// In-range frames are copied (the reader reuses its packet buffer
 	// across records, so the body view dies with the loop iteration) into
@@ -151,7 +177,7 @@ func (c *TraceCollector) Ingest(r *trace.Reader) error {
 			continue
 		}
 		tsc := TSC(m.TSC)
-		if c.dup(tsc) {
+		if !c.window.Accept(tsc) {
 			c.Stats.Duplicates++
 			continue
 		}
@@ -192,25 +218,6 @@ func (c *TraceCollector) Flush() {
 	}
 	c.Attack.ObserveFrames(c.batch)
 	c.batch = c.batch[:0]
-}
-
-// dup reports whether the TSC was accepted recently, remembering it
-// otherwise. The window is a ring over a membership set.
-func (c *TraceCollector) dup(t TSC) bool {
-	if c.seen == nil {
-		c.seen = make(map[TSC]struct{}, dedupWindow)
-		c.order = make([]TSC, dedupWindow)
-	}
-	if _, dup := c.seen[t]; dup {
-		return true
-	}
-	if len(c.seen) == dedupWindow {
-		delete(c.seen, c.order[c.next])
-	}
-	c.seen[t] = struct{}{}
-	c.order[c.next] = t
-	c.next = (c.next + 1) % dedupWindow
-	return false
 }
 
 // CollectTraceReaders ingests a sequence of capture streams (one reader

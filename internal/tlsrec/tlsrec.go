@@ -18,6 +18,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
 
 	"rc4break/internal/rc4"
 )
@@ -77,29 +78,32 @@ func DeriveKeys(master []byte, clientRandom, serverRandom [32]byte) (client, ser
 // state persists across records for the lifetime of the connection.
 type Conn struct {
 	cipher *rc4.Cipher
-	macKey [MACSize]byte
-	seq    uint64
+	// mac is the connection's HMAC-SHA1, Reset per record: the keyed pads
+	// are hashed once per connection instead of once per record. pre and
+	// sum are its per-record header input and MAC output.
+	mac hash.Hash
+	pre [13]byte
+	sum [MACSize]byte
+	seq uint64
 }
 
 // NewConn creates a sending or receiving record stream from a key block.
 // RC4 is keyed once; none of the initial keystream is discarded (§2.3).
 func NewConn(kb KeyBlock) *Conn {
-	return &Conn{cipher: rc4.MustNew(kb.Key[:]), macKey: kb.MACKey}
+	return &Conn{cipher: rc4.MustNew(kb.Key[:]), mac: hmac.New(sha1.New, kb.MACKey[:])}
 }
 
 // Seal encrypts one application-data record containing payload and returns
 // the full wire record (header ‖ encrypted payload ‖ encrypted MAC).
 func (c *Conn) Seal(payload []byte) []byte {
-	mac := c.computeMAC(TypeApplicationData, payload)
-	inner := make([]byte, 0, len(payload)+MACSize)
-	inner = append(inner, payload...)
-	inner = append(inner, mac...)
-
-	rec := make([]byte, HeaderSize+len(inner))
+	inner := len(payload) + MACSize
+	rec := make([]byte, HeaderSize+inner)
 	rec[0] = TypeApplicationData
 	binary.BigEndian.PutUint16(rec[1:3], VersionTLS12)
-	binary.BigEndian.PutUint16(rec[3:5], uint16(len(inner)))
-	c.cipher.XORKeyStream(rec[HeaderSize:], inner)
+	binary.BigEndian.PutUint16(rec[3:5], uint16(inner))
+	copy(rec[HeaderSize:], payload)
+	copy(rec[HeaderSize+len(payload):], c.computeMAC(TypeApplicationData, payload))
+	c.cipher.XORKeyStream(rec[HeaderSize:], rec[HeaderSize:])
 	c.seq++
 	return rec
 }
@@ -136,17 +140,18 @@ func (c *Conn) Open(rec []byte) ([]byte, error) {
 }
 
 // computeMAC is the TLS record MAC: HMAC-SHA1 over sequence number, type,
-// version, length and payload.
+// version, length and payload. The result aliases the connection's MAC
+// buffer, valid until the next record.
 func (c *Conn) computeMAC(typ byte, payload []byte) []byte {
-	h := hmac.New(sha1.New, c.macKey[:])
-	var pre [13]byte
+	h, pre := c.mac, c.pre[:]
+	h.Reset()
 	binary.BigEndian.PutUint64(pre[0:8], c.seq)
 	pre[8] = typ
 	binary.BigEndian.PutUint16(pre[9:11], VersionTLS12)
 	binary.BigEndian.PutUint16(pre[11:13], uint16(len(payload)))
-	h.Write(pre[:])
+	h.Write(pre)
 	h.Write(payload)
-	return h.Sum(nil)
+	return h.Sum(c.sum[:0])
 }
 
 // Seq reports how many records have been processed — used by attack code

@@ -2,8 +2,13 @@ package tlsrec
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha1"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
+
+	"rc4break/internal/rc4"
 )
 
 func testConns(t *testing.T) (send, recv *Conn) {
@@ -177,6 +182,51 @@ func TestSealDeterministicGivenState(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSealMatchesFreshHMAC pins the connection's reused, per-record Reset
+// HMAC against a reference that keys a fresh hmac.New for every record:
+// 1200 records of varying length must seal to identical wire bytes, and
+// Open must accept every one of them.
+func TestSealMatchesFreshHMAC(t *testing.T) {
+	var kb KeyBlock
+	for i := range kb.MACKey {
+		kb.MACKey[i] = byte(3*i + 1)
+	}
+	for i := range kb.Key {
+		kb.Key[i] = byte(5*i + 2)
+	}
+	send, recv := NewConn(kb), NewConn(kb)
+	ref := rc4.MustNew(kb.Key[:])
+	for seq := uint64(0); seq < 1200; seq++ {
+		payload := bytes.Repeat([]byte{byte(seq)}, int(seq*37%700))
+		mac := hmac.New(sha1.New, kb.MACKey[:])
+		var pre [13]byte
+		binary.BigEndian.PutUint64(pre[0:8], seq)
+		pre[8] = TypeApplicationData
+		binary.BigEndian.PutUint16(pre[9:11], VersionTLS12)
+		binary.BigEndian.PutUint16(pre[11:13], uint16(len(payload)))
+		mac.Write(pre[:])
+		mac.Write(payload)
+		inner := mac.Sum(append([]byte(nil), payload...))
+		want := make([]byte, HeaderSize+len(inner))
+		want[0] = TypeApplicationData
+		binary.BigEndian.PutUint16(want[1:3], VersionTLS12)
+		binary.BigEndian.PutUint16(want[3:5], uint16(len(inner)))
+		ref.XORKeyStream(want[HeaderSize:], inner)
+
+		rec := send.Seal(payload)
+		if !bytes.Equal(rec, want) {
+			t.Fatalf("record %d: Seal differs from the fresh-HMAC reference", seq)
+		}
+		got, err := recv.Open(rec)
+		if err != nil {
+			t.Fatalf("record %d: %v", seq, err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("record %d: Open returned a different payload", seq)
+		}
 	}
 }
 
