@@ -20,7 +20,7 @@ import (
 )
 
 // cookieCaptureRig wires one victim connection to one attack instance
-// through the §6.3 scanner, like cmd/cookieattack's exact mode.
+// through the §6.3 scanner, like cmd/rc4attack's exact cookie mode.
 type cookieCaptureRig struct {
 	victim    *netsim.HTTPSVictim
 	collector *tlsrec.CollectRequests

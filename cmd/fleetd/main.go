@@ -2,25 +2,26 @@
 // and the closed decode loop for one attack, leases disjoint capture lanes
 // to workers over TCP, merges their uploaded lane snapshots in lane order,
 // and stops the whole fleet the moment a candidate is oracle-confirmed.
-// Workers are the attack drivers themselves in -fleet-worker mode:
+// Workers are cmd/rc4attack in -fleet-worker mode:
 //
 //	# coordinator: 9·2^27-record cookie job in 2^24-record lanes
 //	fleetd -attack cookie -listen 127.0.0.1:7100 -secret Secur3C00kieVal+ \
 //	       -budget 1207959552 -lane-records 16777216 -checkpoint pool.snap
 //	# workers, on as many machines as available
-//	cookieattack -fleet-worker coordinator:7100 -worker-id m1
-//	cookieattack -fleet-worker coordinator:7100 -worker-id m2
+//	rc4attack -attack cookie -fleet-worker coordinator:7100 -worker-id m1
+//	rc4attack -attack cookie -fleet-worker coordinator:7100 -worker-id m2
 //
 //	# TKIP: share the trained model, then the same shape
 //	fleetd -attack tkip -listen 127.0.0.1:7100 -model tkip.model
-//	tkipattack -fleet-worker coordinator:7100 -model tkip.model -worker-id m1
+//	rc4attack -attack tkip -fleet-worker coordinator:7100 -model tkip.model -worker-id m1
 //
 // Fault tolerance is lease-based: a worker that dies mid-lane simply lets
 // its lease expire (-lease-ttl) and the lane is re-captured — byte-
 // identically, lanes being pure functions of the job — by the next worker
-// that asks. The coordinator's -checkpoint pool snapshot is the same format
-// the offline tooling reads, and -resume restarts a coordinator from one
-// (it must sit on a lane boundary, which per-round checkpoints always do).
+// that asks. The coordinator's -checkpoint pool snapshot is the format
+// rc4attack's -resume and -merge read, and -resume restarts a coordinator
+// from one (it must sit on a lane boundary, which per-round checkpoints
+// always do).
 package main
 
 import (
@@ -60,7 +61,7 @@ func main() {
 	resume := flag.String("resume", "", "pool snapshot to resume the coordinator from (must sit on a lane boundary)")
 	secret := flag.String("secret", "Secur3C00kieVal+", "cookie attack: the 16-character secure cookie to recover")
 	modelPath := flag.String("model", "", "tkip attack: model snapshot (loaded if present, otherwise trained and saved there)")
-	trainKeys := flag.Uint64("trainkeys", 1<<12, "tkip attack: training keys per TSC class when the model must be trained")
+	trainKeys := flag.Uint64("trainkeys", job.Defaults["tkip"].TrainKeys, "tkip attack: training keys per TSC class when the model must be trained")
 	linger := flag.Duration("linger", 2*time.Second, "how long to keep answering workers with stop after the run finishes")
 	jsonOut := flag.Bool("json", false, "append one machine-readable JSON result line to stdout")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run (coordinator plus worker spans) to this file")
@@ -108,40 +109,30 @@ func main() {
 		fatal(err)
 	}
 
-	var (
-		pool   fleet.Pool
-		report func(res online.Result, err error)
-	)
-	switch *attack {
-	case "cookie":
-		if *budget == 0 {
-			*budget = 9 << 27
-		}
-		if *depth == 0 {
-			*depth = 1 << 16
-		}
-		pool = &fleet.CookiePool{Attack: j.Cookie}
-		report = func(res online.Result, err error) {
-			if err == nil {
-				fmt.Printf("[fleet] cookie %q confirmed at rank %d after %d records (%d rounds, %d server checks)\n",
-					res.Plaintext, res.Rank, res.Observed, res.Rounds, res.Checks)
-			}
-			writeJSON(*jsonOut, "cookie", *mode, res, err)
-		}
-	case "tkip":
-		if *budget == 0 {
-			*budget = 9 << 20
-		}
-		if *depth == 0 {
-			*depth = 1 << 20
-		}
+	d := job.Defaults[*attack]
+	if *budget == 0 {
+		*budget = d.Budget
+	}
+	if *depth == 0 {
+		*depth = d.Candidates
+	}
+	var pool fleet.Pool = &fleet.CookiePool{Attack: j.Cookie}
+	if j.TKIP != nil {
 		pool = &fleet.TKIPPool{Attack: j.TKIP, Model: model}
-		report = func(res online.Result, err error) {
-			if err == nil {
-				fmt.Printf("[fleet] trailer confirmed at rank %d after %d frames; MIC key %x\n",
-					res.Rank, res.Observed, j.Oracle.(*tkip.TrailerOracle).MICKey)
+	}
+	report := func(res online.Result, err error) {
+		if err == nil {
+			found := fmt.Sprintf("cookie %q", res.Plaintext)
+			if oracle, ok := j.Oracle.(*tkip.TrailerOracle); ok {
+				found = fmt.Sprintf("trailer (MIC key %x)", oracle.MICKey)
 			}
-			writeJSON(*jsonOut, "tkip", *mode, res, err)
+			fmt.Printf("[fleet] %s confirmed at rank %d after %d %s (%d rounds, %d oracle checks)\n",
+				found, res.Rank, res.Observed, j.Unit(), res.Rounds, res.Checks)
+		}
+		if *jsonOut {
+			if werr := cliutil.OnlineRunResult(*attack, *mode, res, err).Write(os.Stdout); werr != nil {
+				fatal(werr)
+			}
 		}
 	}
 
@@ -262,12 +253,6 @@ func main() {
 	}
 	if runErr != nil {
 		os.Exit(1)
-	}
-}
-
-func writeJSON(enabled bool, attack, mode string, res online.Result, err error) {
-	if werr := cliutil.OnlineRunResult(attack, mode, res, err).Emit(enabled); werr != nil {
-		fatal(werr)
 	}
 }
 

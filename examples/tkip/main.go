@@ -2,9 +2,9 @@
 // the in-process network simulator — train a per-TSC model, capture
 // encryptions of an injected packet, decrypt its MIC+ICV trailer via the
 // ICV-pruned candidate list, recover the Michael MIC key, and forge a
-// packet the network accepts. (cmd/tkipattack is the fully flagged tool;
-// this example uses fixed small parameters so it runs in well under a
-// minute.)
+// packet the network accepts. (`rc4attack -attack tkip` is the fully
+// flagged tool; this example uses fixed small parameters so it runs in well
+// under a minute.)
 package main
 
 import (

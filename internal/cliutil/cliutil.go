@@ -71,12 +71,6 @@ func TraceStreamSeed(paths []string) int64 {
 	return int64(h)
 }
 
-// IndentLogf prints a runtime progress line in the drivers' indented style
-// — the online.Config Logf both attack CLIs use.
-func IndentLogf(format string, args ...interface{}) {
-	fmt.Printf("      "+format+"\n", args...)
-}
-
 // ContinuationSeed derives the RNG seed for a model-mode top-up that
 // continues from observed records: the first chunk of a run uses the shard
 // seed itself, and every later chunk derives a distinct stream from the

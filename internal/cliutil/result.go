@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
-	"os"
 
 	"rc4break/internal/online"
 )
@@ -18,12 +17,10 @@ type RunResult struct {
 	Attack string `json:"attack"`
 	Mode   string `json:"mode"`
 	// Job and Tenant identify the run inside a multi-tenant service
-	// (cmd/attackd); the single-run CLIs leave them empty, and omitempty
+	// (cmd/attackd); rc4attack and fleetd leave them empty, and omitempty
 	// keeps their output byte-identical to the pre-service schema.
 	Job    string `json:"job,omitempty"`
 	Tenant string `json:"tenant,omitempty"`
-	// Online reports whether the closed-loop runtime drove the run.
-	Online bool `json:"online"`
 	// Success is false on budget exhaustion or a missing candidate.
 	Success bool `json:"success"`
 	// Plaintext is the hex-encoded recovered value (cookie bytes or MIC
@@ -32,16 +29,13 @@ type RunResult struct {
 	// Rank is the confirmed candidate's 1-based list position.
 	Rank int `json:"rank,omitempty"`
 	// Observations is the records/frames folded into the evidence at the
-	// end of the run — the records-to-success metric for online runs.
+	// end of the run — the records-to-success metric.
 	Observations uint64 `json:"observations"`
-	// Rounds, Checks and Skipped describe the online decode loop (zero for
-	// offline runs, whose single decode is implicit).
+	// Rounds, Checks and Skipped describe the online decode loop.
 	Rounds  int    `json:"rounds,omitempty"`
 	Checks  uint64 `json:"checks,omitempty"`
 	Skipped uint64 `json:"skipped,omitempty"`
-	// CaptureMS/DecodeMS/OracleMS split the wall clock by phase; offline
-	// paths that do not separate decode from oracle report the combined
-	// time as DecodeMS.
+	// CaptureMS/DecodeMS/OracleMS split the wall clock by phase.
 	CaptureMS float64 `json:"capture_ms"`
 	DecodeMS  float64 `json:"decode_ms"`
 	OracleMS  float64 `json:"oracle_ms"`
@@ -55,7 +49,6 @@ func OnlineRunResult(attack, mode string, res online.Result, err error) RunResul
 	r := RunResult{
 		Attack:       attack,
 		Mode:         mode,
-		Online:       true,
 		Success:      err == nil,
 		Rank:         res.Rank,
 		Observations: res.Observed,
@@ -79,14 +72,4 @@ func OnlineRunResult(attack, mode string, res online.Result, err error) RunResul
 func (r RunResult) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(r)
-}
-
-// Emit writes the result to stdout when enabled (the drivers' -json flag)
-// and is a no-op otherwise. Callers must invoke it after their last
-// narrative output so the JSON line stays the final stdout line.
-func (r RunResult) Emit(enabled bool) error {
-	if !enabled {
-		return nil
-	}
-	return r.Write(os.Stdout)
 }

@@ -36,13 +36,13 @@ type Pool interface {
 	// Validate decodes one lane snapshot (the attack's own envelope bytes)
 	// and checks it against the pool's configuration and the lane's
 	// expected identity — the same fingerprint/stream/count checks the
-	// offline -merge path applies, so a bad upload is rejected at the RPC
+	// rc4attack -merge applies, so a bad upload is rejected at the RPC
 	// layer instead of poisoning the pool.
 	Validate(snap []byte, want snapshot.StreamInfo, records uint64) (Shard, error)
 	// Merge folds a validated shard into the pool.
 	Merge(s Shard) error
 	// WriteSnapshotFile checkpoints the merged pool (the coordinator's
-	// -checkpoint file, readable by the offline -resume/-merge tooling).
+	// -checkpoint file, readable by rc4attack -resume and -merge).
 	WriteSnapshotFile(path string) error
 }
 
@@ -520,7 +520,7 @@ func (c *Coordinator) handleRelease(rl Release) Ack {
 }
 
 // handleEvidence validates and stages one lane upload. Rejections mirror
-// the offline -merge path: mismatched identity, wrong record count, or a
+// rc4attack -merge: mismatched identity, wrong record count, or a
 // lane whose observations are already counted (the duplicate a re-leased
 // lane's original owner produces when it wakes up late) are refused and the
 // worker told why; its capture work is already covered, so the refusal is

@@ -13,8 +13,8 @@ import (
 
 // CookiePool adapts a cookieattack evidence pool to the coordinator. Lane
 // uploads are cookieattack snapshots and must carry the pool's request
-// layout fingerprint — the same compatibility contract as the offline
-// -merge path.
+// layout fingerprint — the same compatibility contract as rc4attack's
+// -merge.
 type CookiePool struct {
 	Attack *cookieattack.Attack
 }

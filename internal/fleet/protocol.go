@@ -25,7 +25,7 @@
 //     (length-prefixed, kind-tagged, CRC-64-checksummed), and lane evidence
 //     payloads are the attacks' own snapshot envelopes — the exact bytes a
 //     -checkpoint file would hold — validated by the same fingerprint and
-//     stream checks the offline -merge path applies. A duplicate lane
+//     stream checks rc4attack -merge applies. A duplicate lane
 //     upload (a re-leased lane's original owner waking up late) is rejected
 //     at the RPC layer the same way -merge rejects a duplicated shard.
 //

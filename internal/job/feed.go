@@ -48,7 +48,8 @@ func (j *Job) Feed(ctx context.Context, chunk uint64) *Feed {
 	}
 }
 
-// AdvanceTo implements online.Feed.
+// AdvanceTo implements online.Feed. A capture call that adds nothing
+// (trace files that ran out) ends the advance short of target.
 func (f *Feed) AdvanceTo(target uint64) error {
 	for {
 		at := f.Observed()
@@ -78,8 +79,12 @@ func (f *Feed) AdvanceTo(target uint64) error {
 		if err != nil {
 			return err
 		}
+		got := f.Observed()
 		if f.OnAdvance != nil {
-			f.OnAdvance(f.Observed() - at)
+			f.OnAdvance(got - at)
+		}
+		if got == at {
+			return nil
 		}
 	}
 }
@@ -96,7 +101,7 @@ func (f *Feed) TakeSlot() bool {
 // context) cancelled, after the checkpoint flush; drivers exit 130 on it.
 var ErrInterrupted = errors.New("job: capture interrupted")
 
-// CLIFeed is the attack CLIs' capture feed. Exact capture runs in granules
+// CLIFeed is the attack CLI's capture feed. Exact capture runs in granules
 // of every observations, each ending on an absolute multiple of every with
 // a checkpoint written to path (when set); model and trace capture run one
 // call per target, so a model-mode run draws exactly as it always has.
@@ -139,11 +144,11 @@ func (j *Job) CLIFeed(ctx context.Context, every uint64, path string) *Feed {
 	return f
 }
 
-// Online runs the CLIs' closed loop over the job: cfg supplies cadence,
-// budget, depth and logging; the job supplies decoder, oracle and a CLIFeed
-// (exact granules of every, checkpointed to path). With path set the
-// evidence is also saved after every unsuccessful decode round — so the run
-// is resumable mid-cadence — and once more on success.
+// Online runs the attack CLI's closed loop over the job: cfg supplies
+// cadence, budget, depth and logging; the job supplies decoder, oracle and
+// a CLIFeed (exact granules of every, checkpointed to path). With path set
+// the evidence is also saved after every unsuccessful decode round — so the
+// run is resumable mid-cadence — and once more on success.
 func (j *Job) Online(ctx context.Context, cfg online.Config, every uint64, path string) (online.Result, error) {
 	cfg.Decoder, cfg.Oracle = j.Decoder(), j.Oracle
 	cfg.Feed = j.CLIFeed(ctx, every, path)

@@ -76,11 +76,12 @@ func modelLane(spec Spec, model *tkip.PerTSCModel, fj fleet.JobSpec, lease fleet
 
 // RunWorker joins the fleet coordinator at addr as capture worker id and
 // collects leased lanes of spec's attack until the coordinator declares the
-// run over or ctx is cancelled. The coordinator's job supplies mode and
-// seed; spec supplies the secret, trace files and worker count. Per-lane
-// collect spans ride each evidence upload: a traced coordinator folds them
-// under its own trace, an untraced one ignores them.
-func RunWorker(ctx context.Context, addr, id string, spec Spec, model *tkip.PerTSCModel) (fleet.WorkerStats, error) {
+// run over or ctx is cancelled, reporting progress through logf. The
+// coordinator's job supplies mode and seed; spec supplies the secret, trace
+// files and worker count. Per-lane collect spans ride each evidence upload:
+// a traced coordinator folds them under its own trace, an untraced one
+// ignores them.
+func RunWorker(ctx context.Context, addr, id string, spec Spec, model *tkip.PerTSCModel, logf func(format string, args ...interface{})) (fleet.WorkerStats, error) {
 	// The fingerprint depends on the attack configuration alone.
 	j, err := New(Spec{Attack: spec.Attack, Mode: "model", Secret: spec.Secret}, nil, model)
 	if err != nil {
@@ -92,14 +93,14 @@ func RunWorker(ctx context.Context, addr, id string, spec Spec, model *tkip.PerT
 	}
 	proc := id
 	if proc == "" {
-		proc = spec.Attack + "attack-worker"
+		proc = "rc4attack-worker"
 	}
 	w := &fleet.Worker{
 		Addr:        addr,
 		ID:          id,
 		Attack:      spec.Attack,
 		Fingerprint: fp,
-		Logf:        cliutil.IndentLogf,
+		Logf:        logf,
 		Tracer:      obs.NewJournal(proc, 1024),
 		Collect: func(fj fleet.JobSpec, lease fleet.Lease) ([]byte, error) {
 			return CollectLane(ctx, spec, model, fj, lease)

@@ -2,7 +2,7 @@
 // names the §6 HTTPS cookie attack or the §5 TKIP attack in model, exact or
 // trace mode; New turns it into the decoder/oracle pair the online loop
 // drives, a capture function over absolute observation counts, and the
-// evidence codec checkpoints persist. The attack CLIs, cmd/fleetd, fleet
+// evidence codec checkpoints persist. cmd/rc4attack, cmd/fleetd, fleet
 // lanes and the service all build their jobs here, so they can differ in
 // scheduling but never in evidence.
 //
@@ -68,6 +68,26 @@ func (s Spec) Stream() snapshot.StreamInfo {
 		return snapshot.StreamInfo{Mode: "exact"}
 	}
 	return snapshot.StreamInfo{Mode: s.Mode, Seed: s.Seed}
+}
+
+// AttackDefaults are one attack's defaults for the CLI and fleet drivers:
+// the observation budget, the candidate walk depth per decode round, the
+// exact-mode checkpoint interval, and the TKIP model's training keys per
+// TSC class. The service resolves its own, persisted defaults
+// (service.JobSpec.Normalize).
+type AttackDefaults struct {
+	Budget          uint64
+	Candidates      int
+	CheckpointEvery uint64
+	TrainKeys       uint64
+}
+
+// Defaults holds each attack's defaults (paper scale: 9·2^27 requests for
+// the cookie attack, §6.3; 9·2^20 frames, about an hour of injection, for
+// TKIP, §5.4).
+var Defaults = map[string]AttackDefaults{
+	"cookie": {Budget: 9 << 27, Candidates: 1 << 16, CheckpointEvery: 1 << 22},
+	"tkip":   {Budget: 9 << 20, Candidates: 1 << 20, CheckpointEvery: 1 << 20, TrainKeys: 1 << 12},
 }
 
 // Fold batch sizes: a cookie batch keeps each half-megabyte ABSAB table
@@ -399,6 +419,58 @@ func (j *Job) Save(path string) error {
 		return j.Cookie.WriteSnapshotFile(path)
 	}
 	return j.TKIP.WriteSnapshotFile(path)
+}
+
+// Merge folds the shard snapshots at paths into the evidence, in order,
+// reporting each through logf. Shards that captured the same stream (same
+// mode and seed, or the same trace files) hold the same observations, so a
+// shard whose stream the job or an earlier shard already holds is an error
+// rather than double-counted evidence.
+func (j *Job) Merge(paths []string, logf func(format string, args ...interface{})) error {
+	seen := make(map[snapshot.StreamInfo]string)
+	if s := j.stream(); j.Observed() > 0 && s != (snapshot.StreamInfo{}) {
+		seen[s] = "this shard"
+	}
+	for _, path := range paths {
+		var (
+			stream snapshot.StreamInfo
+			n      uint64
+			merge  func() error
+		)
+		if j.Cookie != nil {
+			shard, err := cookieattack.ReadSnapshotFile(path)
+			if err != nil {
+				return fmt.Errorf("merge %s: %w", path, err)
+			}
+			stream, n, merge = shard.Stream, shard.Records, func() error { return j.Cookie.Merge(shard) }
+		} else {
+			shard, err := tkip.ReadAttackSnapshotFile(path, j.Model)
+			if err != nil {
+				return fmt.Errorf("merge %s: %w", path, err)
+			}
+			stream, n, merge = shard.Stream, shard.Frames, func() error { return j.TKIP.Merge(shard) }
+		}
+		if stream != (snapshot.StreamInfo{}) {
+			if prev, dup := seen[stream]; dup {
+				return fmt.Errorf("merge %s: same capture stream (%s/seed %d) as %s — its %s would be double-counted",
+					path, stream.Mode, stream.Seed, prev, j.Unit())
+			}
+			seen[stream] = path
+		}
+		if err := merge(); err != nil {
+			return fmt.Errorf("merge %s: %w", path, err)
+		}
+		logf("merged %s: +%d %s (pool now %d)", path, n, j.Unit(), j.Observed())
+	}
+	return nil
+}
+
+// stream is the stream identity the evidence carries.
+func (j *Job) stream() snapshot.StreamInfo {
+	if j.Cookie != nil {
+		return j.Cookie.Stream
+	}
+	return j.TKIP.Stream
 }
 
 // Fingerprint identifies the configuration every shard of the job must

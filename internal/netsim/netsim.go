@@ -187,10 +187,10 @@ func (inj *TCPInjector) Burst(n uint64, capture func(tkip.Frame)) {
 // validates a recovered MIC key the way a live attacker would (§7.4): forge
 // a packet under the key and observe whether the network accepts it. The
 // hook builds the forgery through the real encapsulation path (the
-// simulator's attacker shares the session's TK the same way
-// cmd/tkipattack's forgery demo does — over the air the equivalent step is
-// keystream reuse) and accepts the key iff the victim-side Decapsulate
-// does, so pure ICV collisions with a wrong Michael key are rejected.
+// simulator's attacker shares the session's TK the same way cmd/rc4attack's
+// TKIP forgery demo does — over the air the equivalent step is keystream
+// reuse) and accepts the key iff the victim-side Decapsulate does, so pure
+// ICV collisions with a wrong Michael key are rejected.
 func ForgeryConfirm(s *tkip.Session, msdu []byte) func([michael.KeySize]byte) bool {
 	const probeTSC tkip.TSC = 0xF00D << 16 // outside the victim's capture classes
 	return func(micKey [michael.KeySize]byte) bool {

@@ -14,7 +14,7 @@
 // implement Decoder, and netsim.CookieServer / tkip.TrailerOracle implement
 // Oracle. Evidence arrives through a pluggable Feed: in-process drivers use
 // the job package's granule feed (absolute capture granules; the attack
-// CLIs' variant checkpoints at granule boundaries and flushes on Ctrl-C at
+// CLI's variant checkpoints at granule boundaries and flushes on Ctrl-C at
 // the next fold batch, resumable mid-cadence), while the fleet coordinator
 // implements Feed directly, blocking until enough worker lanes have merged.
 // Decode points are absolute observation counts, so a resumed run lands on

@@ -34,7 +34,7 @@ type Config struct {
 	// Logf, when non-nil, receives one narrative line per job transition.
 	Logf func(format string, args ...interface{})
 	// Results, when non-nil, receives one cliutil.RunResult JSON line per
-	// finished job — the same schema the attack CLIs emit under -json,
+	// finished job — the same schema rc4attack and fleetd emit under -json,
 	// with the job/tenant fields set.
 	Results io.Writer
 	// Tracer, when non-nil, records job lifecycle spans (admit, run,

@@ -1,10 +1,10 @@
 package tkip
 
 // DemoSession returns the fixed demonstration session the attack tooling
-// shares: cmd/tkipattack's victim and cmd/fleetd's coordinator must agree
-// on every byte of it — the coordinator's trailer oracle and exact-mode
-// workers' victim streams both derive from it, and a one-byte drift
-// between two copies would silently poison a fleet's pooled evidence
+// shares: cmd/rc4attack's TKIP victim and cmd/fleetd's coordinator must
+// agree on every byte of it — the coordinator's trailer oracle and
+// exact-mode workers' victim streams both derive from it, and a one-byte
+// drift between two copies would silently poison a fleet's pooled evidence
 // rather than fail any fingerprint check. Call this; do not copy the
 // literals.
 func DemoSession() *Session {

@@ -89,7 +89,7 @@ func TestTraceRoundTripTKIP(t *testing.T) {
 	session := tkip.DemoSession()
 	stream := snapshot.StreamInfo{Mode: "exact"}
 
-	// Direct in-process capture, exactly like cmd/tkipattack exact mode.
+	// Direct in-process capture, exactly like rc4attack's exact TKIP mode.
 	direct := newTraceTKIPAttack(t, model)
 	direct.Stream = stream
 	victim := netsim.NewWiFiVictim(session, tkip.DemoPayload)
