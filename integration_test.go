@@ -13,6 +13,7 @@ import (
 	"rc4break/internal/cookiejar"
 	"rc4break/internal/httpmodel"
 	"rc4break/internal/netsim"
+	"rc4break/internal/online"
 	rc4pkg "rc4break/internal/rc4"
 	"rc4break/internal/tkip"
 	"rc4break/internal/tlsrec"
@@ -61,12 +62,17 @@ func TestTKIPNarrative(t *testing.T) {
 	if err := attack.SimulateCaptures(rand.New(rand.NewSource(6)), trailer, 12<<20); err != nil {
 		t.Fatal(err)
 	}
-	micKey, depth, err := attack.RecoverTrailer(session.DA, session.SA, victim.MSDU, 1<<16)
+	oracle := &tkip.TrailerOracle{DA: session.DA, SA: session.SA, MSDU: victim.MSDU}
+	res, err := online.Search(attack, oracle, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Plaintext == nil {
+		t.Fatalf("no ICV-valid trailer in %d candidates", res.Checks)
+	}
+	micKey := oracle.MICKey
 	if micKey != session.MICKey {
-		t.Fatalf("MIC key mismatch (depth %d)", depth)
+		t.Fatalf("MIC key mismatch (depth %d)", res.Rank)
 	}
 	forged := (&tkip.Session{TK: session.TK, MICKey: micKey, TA: session.TA,
 		DA: session.DA, SA: session.SA}).Encapsulate([]byte("forged packet 01234567890123456789012345678901234567"), 0xFACE)
@@ -164,14 +170,14 @@ func TestHTTPSNarrative(t *testing.T) {
 		t.Fatal(err)
 	}
 	server := &netsim.CookieServer{Secret: []byte(secret)}
-	cookie, rank, err := attack2.BruteForce(1<<13, server.Check)
+	res, err := online.Search(attack2, server, 1<<13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(cookie) != secret {
-		t.Fatalf("recovered %q at rank %d", cookie, rank)
+	if string(res.Plaintext) != secret {
+		t.Fatalf("recovered %q at rank %d", res.Plaintext, res.Rank)
 	}
-	if server.Attempts != uint64(rank) {
+	if server.Attempts != uint64(res.Rank) || res.Checks != server.Attempts {
 		t.Fatal("server attempt accounting wrong")
 	}
 }

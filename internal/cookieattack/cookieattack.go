@@ -441,23 +441,6 @@ func (a *Attack) Decode(max int) (recovery.CandidateSource, error) {
 	return recovery.SliceSource(cands), nil
 }
 
-// BruteForce generates the n most likely cookies and walks them against
-// check (e.g. an HTTPS request presenting the cookie) until it accepts —
-// the §6.2 negligible-time brute-force. It returns the accepted value and
-// its 1-based list position.
-func (a *Attack) BruteForce(n int, check func([]byte) bool) ([]byte, int, error) {
-	cands, err := a.Candidates(n)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i, c := range cands {
-		if check(c.Plaintext) {
-			return c.Plaintext, i + 1, nil
-		}
-	}
-	return nil, 0, errors.New("cookieattack: cookie not in candidate list")
-}
-
 // SimulateStatistics fills the evidence tables by drawing sufficient
 // statistics for nRecords model-mode records directly, instead of
 // constructing each record (the paper's Figures 7 and 10 are simulations in

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"rc4break/internal/httpmodel"
+	"rc4break/internal/netsim"
+	"rc4break/internal/online"
 	"rc4break/internal/rc4"
 	"rc4break/internal/recovery"
 )
@@ -182,18 +184,16 @@ func TestModelModeRecoversCookie(t *testing.T) {
 	if err := a.SimulateStatistics(rng, []byte(cookie), 1<<31); err != nil {
 		t.Fatal(err)
 	}
-	got, rank, err := a.BruteForce(1<<12, func(c []byte) bool {
-		return bytes.Equal(c, []byte(cookie))
-	})
+	res, err := online.Search(a, &netsim.CookieServer{Secret: []byte(cookie)}, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, []byte(cookie)) {
-		t.Fatalf("recovered %q", got)
+	if !bytes.Equal(res.Plaintext, []byte(cookie)) {
+		t.Fatalf("recovered %q", res.Plaintext)
 	}
-	t.Logf("cookie found at rank %d", rank)
-	if rank > 1<<12 {
-		t.Fatalf("rank %d too deep", rank)
+	t.Logf("cookie found at rank %d", res.Rank)
+	if res.Rank > 1<<12 {
+		t.Fatalf("rank %d too deep", res.Rank)
 	}
 }
 
@@ -212,9 +212,18 @@ func TestBruteForceNotFound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No evidence at all: candidate list is arbitrary; reject everything.
-	if _, _, err := a.BruteForce(4, func([]byte) bool { return false }); err == nil {
-		t.Error("expected not-found error")
+	// No evidence at all: the candidate list is arbitrary, so the server
+	// rejects every candidate and the walk ends empty-handed.
+	server := &netsim.CookieServer{Secret: []byte("0123456789abcdef")}
+	res, err := online.Search(a, server, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Plaintext != nil || res.Rank != 0 {
+		t.Errorf("accepted %q at rank %d", res.Plaintext, res.Rank)
+	}
+	if res.Checks != 4 || server.Attempts != 4 {
+		t.Errorf("checks=%d attempts=%d, want 4", res.Checks, server.Attempts)
 	}
 }
 

@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"bytes"
 	"math/rand"
 
 	"rc4break/internal/cookieattack"
 	"rc4break/internal/httpmodel"
 	"rc4break/internal/job"
 	"rc4break/internal/netsim"
+	"rc4break/internal/online"
 )
 
 // CookieParams controls the Figure 10 simulation.
@@ -46,8 +46,6 @@ func (p CookieParams) withDefaults() CookieParams {
 func Figure10(p CookieParams) (Result, error) {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))
-	charset := httpmodel.CookieCharset()
-
 	res := Result{
 		ID:      "Figure 10",
 		Title:   "Cookie brute-force success vs ciphertext copies (16-char cookie)",
@@ -57,30 +55,21 @@ func Figure10(p CookieParams) (Result, error) {
 	for _, n := range p.Ciphertexts {
 		var okList, okTop1 int
 		for t := 0; t < p.Trials; t++ {
-			secret := randomCookie(rng, charset, 16)
-			cfg, _, err := job.CookieConfig(string(secret))
+			attack, server, err := cookieTrial(rng, func(c *cookieattack.Config) { c.MaxGap = p.MaxGap })
 			if err != nil {
 				return Result{}, err
 			}
-			cfg.MaxGap = p.MaxGap
-			attack, err := cookieattack.New(cfg)
+			if err := attack.SimulateStatistics(rng, server.Secret, n); err != nil {
+				return Result{}, err
+			}
+			found, err := online.Search(attack, server, p.Candidates)
 			if err != nil {
 				return Result{}, err
 			}
-			if err := attack.SimulateStatistics(rng, secret, n); err != nil {
-				return Result{}, err
-			}
-			cands, err := attack.Candidates(p.Candidates)
-			if err != nil {
-				return Result{}, err
-			}
-			for i, c := range cands {
-				if bytes.Equal(c.Plaintext, secret) {
-					okList++
-					if i == 0 {
-						okTop1++
-					}
-					break
+			if found.Plaintext != nil {
+				okList++
+				if found.Rank == 1 {
+					okTop1++
 				}
 			}
 		}
@@ -97,12 +86,25 @@ func Figure10(p CookieParams) (Result, error) {
 	return res, nil
 }
 
-func randomCookie(rng *rand.Rand, charset []byte, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = charset[rng.Intn(len(charset))]
+// cookieTrial draws a random 16-character cookie from rng and builds the
+// demo cookie attack on it, with tweak applied to the configuration, and
+// the server that checks guesses against it.
+func cookieTrial(rng *rand.Rand, tweak func(*cookieattack.Config)) (*cookieattack.Attack, *netsim.CookieServer, error) {
+	charset := httpmodel.CookieCharset()
+	secret := make([]byte, 16)
+	for i := range secret {
+		secret[i] = charset[rng.Intn(len(charset))]
 	}
-	return out
+	cfg, _, err := job.CookieConfig(string(secret))
+	if err != nil {
+		return nil, nil, err
+	}
+	tweak(&cfg)
+	attack, err := cookieattack.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return attack, &netsim.CookieServer{Secret: secret}, nil
 }
 
 // CharsetAblation is the §6.2 ablation: candidate-list success with the
@@ -110,7 +112,6 @@ func randomCookie(rng *rand.Rand, charset []byte, n int) []byte {
 // at a fixed ciphertext count.
 func CharsetAblation(seed int64, n uint64, trials, candidates int) (Result, error) {
 	rng := rand.New(rand.NewSource(seed))
-	charset := httpmodel.CookieCharset()
 	res := Result{
 		ID:      "§6.2 ablation",
 		Title:   "Candidate-list success: RFC 6265 charset vs full byte space",
@@ -121,33 +122,25 @@ func CharsetAblation(seed int64, n uint64, trials, candidates int) (Result, erro
 		label   string
 		charset []byte
 	}{
-		{"charset=90", charset},
+		{"charset=90", httpmodel.CookieCharset()},
 		{"charset=256", nil},
 	} {
 		ok := 0
 		for t := 0; t < trials; t++ {
-			secret := randomCookie(rng, charset, 16)
-			cfg, _, err := job.CookieConfig(string(secret))
+			// The charset is the ablation's one varied field.
+			attack, server, err := cookieTrial(rng, func(c *cookieattack.Config) { c.Charset = mode.charset })
 			if err != nil {
 				return Result{}, err
 			}
-			cfg.Charset = mode.charset // the ablation's one varied field
-			attack, err := cookieattack.New(cfg)
+			if err := attack.SimulateStatistics(rng, server.Secret, n); err != nil {
+				return Result{}, err
+			}
+			found, err := online.Search(attack, server, candidates)
 			if err != nil {
 				return Result{}, err
 			}
-			if err := attack.SimulateStatistics(rng, secret, n); err != nil {
-				return Result{}, err
-			}
-			cands, err := attack.Candidates(candidates)
-			if err != nil {
-				return Result{}, err
-			}
-			for _, c := range cands {
-				if bytes.Equal(c.Plaintext, secret) {
-					ok++
-					break
-				}
+			if found.Plaintext != nil {
+				ok++
 			}
 		}
 		res.Rows = append(res.Rows, Row{Label: mode.label, Values: []float64{float64(ok) / float64(trials)}})

@@ -7,8 +7,6 @@ import (
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/cookieattack"
-	"rc4break/internal/httpmodel"
-	"rc4break/internal/job"
 	"rc4break/internal/netsim"
 	"rc4break/internal/online"
 )
@@ -60,7 +58,6 @@ func (p OnlineCookieParams) withDefaults() OnlineCookieParams {
 func OnlineCookieRecords(p OnlineCookieParams) (Result, error) {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))
-	charset := httpmodel.CookieCharset()
 	cad := online.Cadence{First: p.First, Every: p.Every}
 
 	// The cadence points every trial decodes at (absolute, shared).
@@ -78,18 +75,11 @@ func OnlineCookieRecords(p OnlineCookieParams) (Result, error) {
 	ranks := make([]int, 0, p.Trials)
 	perPoint := make([]int, len(points)) // successes landing at each decode point
 	for t := 0; t < p.Trials; t++ {
-		secret := randomCookie(rng, charset, 16)
-		cfg, _, err := job.CookieConfig(string(secret))
-		if err != nil {
-			return Result{}, err
-		}
-		cfg.MaxGap = p.MaxGap
-		attack, err := cookieattack.New(cfg)
+		attack, server, err := cookieTrial(rng, func(c *cookieattack.Config) { c.MaxGap = p.MaxGap })
 		if err != nil {
 			return Result{}, err
 		}
 		attack.Workers = p.Workers
-		server := &netsim.CookieServer{Secret: secret}
 		trialSeed := p.Seed + int64(t)*7919
 		res, err := online.Run(online.Config{
 			Decoder:       attack,
@@ -99,7 +89,7 @@ func OnlineCookieRecords(p OnlineCookieParams) (Result, error) {
 			Budget:        p.Budget,
 			Feed: online.FeedFunc(func(target uint64) error {
 				rng := rand.New(rand.NewSource(cliutil.ContinuationSeed(trialSeed, attack.Records)))
-				return attack.SimulateStatistics(rng, secret, target-attack.Records)
+				return attack.SimulateStatistics(rng, server.Secret, target-attack.Records)
 			}),
 		})
 		if errors.Is(err, online.ErrBudgetExhausted) {

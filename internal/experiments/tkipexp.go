@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"rc4break/internal/netsim"
+	"rc4break/internal/online"
 	"rc4break/internal/packet"
 	"rc4break/internal/tkip"
 )
@@ -117,11 +118,16 @@ func Figures8and9(p TKIPParams) (Result, error) {
 			if err := attack.SimulateCaptures(rng, trailer, copies); err != nil {
 				return Result{}, err
 			}
-			micKey, depth, err := attack.RecoverTrailer(session.DA, session.SA, victim.MSDU, p.MaxDepth)
-			if err == nil && micKey == session.MICKey {
+			// No Confirm: Fig. 9 counts the first ICV-valid candidate.
+			oracle := &tkip.TrailerOracle{DA: session.DA, SA: session.SA, MSDU: victim.MSDU}
+			found, err := online.Search(attack, oracle, p.MaxDepth)
+			if err != nil {
+				return Result{}, err
+			}
+			if found.Plaintext != nil && oracle.MICKey == session.MICKey {
 				okList++
-				depths = append(depths, depth)
-				if depth <= 2 {
+				depths = append(depths, found.Rank)
+				if found.Rank <= 2 {
 					okTop2++
 				}
 			}

@@ -266,3 +266,61 @@ func merge(pool *job.Job, snap []byte) error {
 	}
 	return pool.TKIP.Merge(shard)
 }
+
+// TestSearchMatchesSingleDecodeRun pins online.Search, the fixed-budget
+// decode-and-walk the paper figures use, against online.Run with a single
+// decode point at the budget: over the same job evidence both must confirm
+// the same candidate at the same rank after the same oracle checks.
+func TestSearchMatchesSingleDecodeRun(t *testing.T) {
+	// The cookie case confirms mid-list (rank 163), so rank and check
+	// counts are compared past the top candidate.
+	cases := []struct {
+		name string
+		spec service.JobSpec
+		n    uint64
+		max  int
+	}{
+		{"cookie", service.JobSpec{Attack: "cookie", Mode: "model", Seed: 2, Secret: "Secur3C00kieVal+"}, 9 << 27, 1 << 10},
+		{"tkip", service.JobSpec{Attack: "tkip", Mode: "model", Seed: 5, TrainKeys: 1 << 6}, 1 << 20, 1 << 12},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := model(t, c.spec)
+			captured := func() *job.Job {
+				j, err := job.New(jobSpec(c.spec), nil, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Capture(context.Background(), c.n); err != nil {
+					t.Fatal(err)
+				}
+				return j
+			}
+			sj := captured()
+			got, err := online.Search(sj.Decoder(), sj.Oracle, c.max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rj := captured()
+			want, err := online.Run(online.Config{
+				Decoder:       rj.Decoder(),
+				Oracle:        rj.Oracle,
+				Cadence:       online.Cadence{First: c.n},
+				MaxCandidates: c.max,
+				Budget:        c.n,
+				Feed:          online.FeedFunc(func(uint64) error { return nil }),
+			})
+			if err != nil && !errors.Is(err, online.ErrBudgetExhausted) {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Plaintext, want.Plaintext) || got.Rank != want.Rank || got.Checks != want.Checks {
+				t.Fatalf("Search found %q at rank %d after %d checks; Run found %q at rank %d after %d",
+					got.Plaintext, got.Rank, got.Checks, want.Plaintext, want.Rank, want.Checks)
+			}
+			if got.Observed != c.n || want.Rounds != 1 {
+				t.Fatalf("Search observed %d, Run decoded %d times; want %d and 1", got.Observed, want.Rounds, c.n)
+			}
+			t.Logf("rank %d after %d checks", got.Rank, got.Checks)
+		})
+	}
+}

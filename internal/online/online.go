@@ -8,7 +8,9 @@
 // each round's ranked candidates against an oracle, and stops at the first
 // confirmed hit — reporting rank, observations, and wall-clock at success.
 // That turns one-shot success rates into measured records-to-first-success
-// distributions.
+// distributions. Search is the fixed-budget form (one decode, one walk)
+// that the paper's figures and the header-field searches use; both share
+// the one candidate walk.
 //
 // The runtime is attack-agnostic: cookieattack.Attack and tkip.Attack both
 // implement Decoder, and netsim.CookieServer / tkip.TrailerOracle implement
@@ -67,6 +69,12 @@ type FeedFunc func(target uint64) error
 
 // AdvanceTo implements Feed.
 func (f FeedFunc) AdvanceTo(target uint64) error { return f(target) }
+
+// OracleFunc adapts an acceptance predicate to the Oracle interface.
+type OracleFunc func(candidate []byte) bool
+
+// Check implements Oracle.
+func (f OracleFunc) Check(candidate []byte) bool { return f(candidate) }
 
 // DefaultFirstDecode is the default first decode point: early enough to
 // catch strong-evidence runs, late enough that the first list is not pure
@@ -159,9 +167,9 @@ type Config struct {
 	TraceParent obs.SpanContext
 }
 
-// Result reports the outcome of an online run. On success Plaintext is the
-// confirmed candidate; on ErrBudgetExhausted the counters still describe
-// the work done.
+// Result reports the outcome of an online run or a Search. On success
+// Plaintext is the confirmed candidate; otherwise the counters still
+// describe the work done.
 type Result struct {
 	Plaintext []byte
 	// Rank is the confirmed candidate's 1-based position in the winning
@@ -177,6 +185,7 @@ type Result struct {
 	// re-presented to the oracle).
 	Checks, Skipped uint64
 	// CaptureTime, DecodeTime and OracleTime split Elapsed by phase.
+	// Elapsed is set on every return after validation, errors included.
 	CaptureTime, DecodeTime, OracleTime time.Duration
 	Elapsed                             time.Duration
 }
@@ -187,7 +196,7 @@ var ErrBudgetExhausted = errors.New("online: observation budget exhausted withou
 
 // Run drives the closed loop: capture to the next cadence point, decode,
 // walk the list against the oracle, stop at the first confirmed hit.
-func Run(cfg Config) (Result, error) {
+func Run(cfg Config) (res Result, err error) {
 	feed := cfg.Feed
 	if cfg.Decoder == nil || cfg.Oracle == nil || feed == nil {
 		return Result{}, errors.New("online: Decoder, Oracle and an evidence Feed are required")
@@ -195,12 +204,8 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Budget == 0 {
 		return Result{}, errors.New("online: zero observation budget")
 	}
-	maxC := cfg.MaxCandidates
-	if maxC <= 0 {
-		maxC = DefaultMaxCandidates
-	}
-	start := time.Now() //rc4lint:allow timing attack-cost metric (Result timing fields), never feeds evidence
-	var res Result
+	start := time.Now()                                //rc4lint:allow timing attack-cost metric (Result timing fields), never feeds evidence
+	defer func() { res.Elapsed = time.Since(start) }() //rc4lint:allow timing total-elapsed metric
 	runSpan := cfg.Tracer.Start(cfg.TraceParent, "online.run",
 		obs.U64("budget", cfg.Budget), obs.Str("cadence", cfg.Cadence.String()))
 	defer runSpan.End()
@@ -231,31 +236,12 @@ func Run(cfg Config) (Result, error) {
 		// the decode sees whatever was actually observed, and the run ends
 		// once the budget is covered.
 		res.Observed = cfg.Decoder.Observed()
-		last := res.Observed >= cfg.Budget
-
-		res.Rounds++
-		decSpan := cfg.Tracer.Start(runCtx, "online.decode",
-			obs.Int("round", int64(res.Rounds)), obs.U64("observed", res.Observed))
-		t0 := time.Now() //rc4lint:allow timing decode-time metric
-		src, err := cfg.Decoder.Decode(maxC)
+		walked, err := res.round(cfg.Decoder, cfg.Oracle, cfg.MaxCandidates, rejected, cfg.Tracer, runCtx)
 		if err != nil {
-			decSpan.End()
 			return res, err
 		}
-		res.DecodeTime += time.Since(t0) //rc4lint:allow timing decode-time metric
-		decSpan.End()
-
-		walkSpan := cfg.Tracer.Start(runCtx, "online.walk", obs.Int("round", int64(res.Rounds)))
-		t0 = time.Now() //rc4lint:allow timing oracle-time metric
-		hit, rank, walked := res.walk(src, cfg.Oracle, maxC, rejected)
-		res.OracleTime += time.Since(t0) //rc4lint:allow timing oracle-time metric
-		walkSpan.SetAttrs(obs.Int("walked", int64(walked)), obs.U64("checks", res.Checks))
-		walkSpan.End()
-		if hit != nil {
-			res.Plaintext = hit
-			res.Rank = rank
-			res.Elapsed = time.Since(start) //rc4lint:allow timing total-elapsed metric
-			runSpan.SetAttrs(obs.Int("rank", int64(rank)), obs.U64("observed", res.Observed))
+		if res.Plaintext != nil {
+			runSpan.SetAttrs(obs.Int("rank", int64(res.Rank)), obs.U64("observed", res.Observed))
 			return res, nil
 		}
 		if cfg.Logf != nil {
@@ -266,33 +252,73 @@ func Run(cfg Config) (Result, error) {
 				return res, err
 			}
 		}
-		if last {
-			res.Elapsed = time.Since(start) //rc4lint:allow timing total-elapsed metric
+		if res.Observed >= cfg.Budget {
 			return res, ErrBudgetExhausted
 		}
 	}
 }
 
+// Search is the fixed-budget attack: one decode of the evidence dec already
+// holds, then one walk of at most max candidates (0 means
+// DefaultMaxCandidates) against oracle. A miss returns a nil Plaintext and
+// a nil error; the counters still describe the work done.
+func Search(dec Decoder, oracle Oracle, max int) (Result, error) {
+	start := time.Now() //rc4lint:allow timing attack-cost metric (Result timing fields), never feeds evidence
+	res := Result{Observed: dec.Observed()}
+	_, err := res.round(dec, oracle, max, nil, nil, obs.SpanContext{})
+	res.Elapsed = time.Since(start) //rc4lint:allow timing total-elapsed metric
+	return res, err
+}
+
+// round runs one decode of dec's current evidence and walks at most max of
+// its candidates against oracle, adding its decode and oracle time to res.
+// A nil rejected map disables the cross-round reject cache.
+func (res *Result) round(dec Decoder, oracle Oracle, max int, rejected map[string]struct{}, tr *obs.Journal, parent obs.SpanContext) (walked int, err error) {
+	if max <= 0 {
+		max = DefaultMaxCandidates
+	}
+	res.Rounds++
+	decSpan := tr.Start(parent, "online.decode",
+		obs.Int("round", int64(res.Rounds)), obs.U64("observed", res.Observed))
+	t0 := time.Now() //rc4lint:allow timing decode-time metric
+	src, err := dec.Decode(max)
+	if err != nil {
+		decSpan.End()
+		return 0, err
+	}
+	res.DecodeTime += time.Since(t0) //rc4lint:allow timing decode-time metric
+	decSpan.End()
+
+	walkSpan := tr.Start(parent, "online.walk", obs.Int("round", int64(res.Rounds)))
+	t0 = time.Now() //rc4lint:allow timing oracle-time metric
+	walked = res.walk(src, oracle, max, rejected)
+	res.OracleTime += time.Since(t0) //rc4lint:allow timing oracle-time metric
+	walkSpan.SetAttrs(obs.Int("walked", int64(walked)), obs.U64("checks", res.Checks))
+	walkSpan.End()
+	return walked, nil
+}
+
 // walk presents up to max candidates to the oracle, skipping candidates a
-// previous round already rejected.
-func (res *Result) walk(src recovery.CandidateSource, oracle Oracle, max int, rejected map[string]struct{}) (hit []byte, rank, walked int) {
-	for rank = 1; rank <= max; rank++ {
+// previous round already rejected, and records a hit's plaintext and rank.
+// It is the one loop that presents candidates to an acceptance check.
+func (res *Result) walk(src recovery.CandidateSource, oracle Oracle, max int, rejected map[string]struct{}) (walked int) {
+	for rank := 1; rank <= max; rank++ {
 		c, ok := src.Next()
 		if !ok {
-			break
+			return rank - 1
 		}
-		key := string(c.Plaintext)
-		if _, seen := rejected[key]; seen {
+		if _, seen := rejected[string(c.Plaintext)]; seen {
 			res.Skipped++
 			continue
 		}
 		res.Checks++
 		if oracle.Check(c.Plaintext) {
-			return c.Plaintext, rank, rank
+			res.Plaintext, res.Rank = c.Plaintext, rank
+			return rank
 		}
-		if len(rejected) < rejectCacheMax {
-			rejected[key] = struct{}{}
+		if rejected != nil && len(rejected) < rejectCacheMax {
+			rejected[string(c.Plaintext)] = struct{}{}
 		}
 	}
-	return nil, 0, rank - 1
+	return max
 }

@@ -1,9 +1,11 @@
 package online_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"rc4break/internal/cookieattack"
 	"rc4break/internal/online"
@@ -210,5 +212,89 @@ func TestRunValidation(t *testing.T) {
 		Feed:    online.FeedFunc(func(uint64) error { return nil }),
 	}); err == nil {
 		t.Fatal("zero budget accepted")
+	}
+}
+
+// TestRunElapsedOnError pins that a failed run still reports its wall
+// clock: a feed that captures, sleeps, and then fails must leave Elapsed
+// covering at least the capture time.
+func TestRunElapsedOnError(t *testing.T) {
+	dec := &fakeDecoder{revealAt: 1 << 30, truth: []byte("x")}
+	boom := errors.New("boom")
+	res, err := online.Run(online.Config{
+		Decoder:       dec,
+		Oracle:        &fakeOracle{truth: []byte("x")},
+		Cadence:       online.Cadence{First: 1000},
+		MaxCandidates: 4,
+		Budget:        1 << 20,
+		Feed: online.FeedFunc(func(target uint64) error {
+			time.Sleep(5 * time.Millisecond)
+			if dec.observed > 0 {
+				return boom
+			}
+			dec.observed = target
+			return nil
+		}),
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if res.Elapsed <= 0 || res.Elapsed < res.CaptureTime {
+		t.Fatalf("elapsed=%v capture=%v, want elapsed > 0 and >= capture", res.Elapsed, res.CaptureTime)
+	}
+}
+
+// byteDecoder decodes fixed single-byte likelihoods through the lazy
+// enumerator, the TKIP decode path without capture statistics.
+type byteDecoder []*recovery.ByteLikelihoods
+
+func (d byteDecoder) Observed() uint64 { return 0 }
+
+func (d byteDecoder) Decode(int) (recovery.CandidateSource, error) {
+	return recovery.NewSingleByteEnumerator(d)
+}
+
+func TestSearchWalksEnumerator(t *testing.T) {
+	var l recovery.ByteLikelihoods
+	for i := range l {
+		l[i] = float64(-i)
+	}
+	dec := byteDecoder{&l, &l}
+	target := []byte{2, 1}
+	res, err := online.Search(dec, online.OracleFunc(func(pt []byte) bool {
+		return bytes.Equal(pt, target)
+	}), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Plaintext, target) {
+		t.Errorf("found %v", res.Plaintext)
+	}
+	if res.Rank < 2 || res.Checks != uint64(res.Rank) {
+		t.Errorf("rank %d after %d checks", res.Rank, res.Checks)
+	}
+	// The depth bound is respected: a miss is a nil Plaintext, not an error.
+	res, err = online.Search(dec, online.OracleFunc(func(pt []byte) bool {
+		return bytes.Equal(pt, []byte{255, 255})
+	}), 3)
+	if err != nil || res.Plaintext != nil || res.Checks != 3 {
+		t.Errorf("depth bound ignored: %+v, %v", res, err)
+	}
+	// A decode error is returned as is.
+	if _, err := online.Search(byteDecoder{}, online.OracleFunc(func([]byte) bool { return true }), 1); err == nil {
+		t.Error("decoder with no positions accepted")
+	}
+}
+
+// TestSearchAcceptsFirst confirms Search stops at rank 1 when the best
+// candidate is accepted.
+func TestSearchAcceptsFirst(t *testing.T) {
+	var l recovery.ByteLikelihoods
+	l[9] = 10
+	res, err := online.Search(byteDecoder{&l}, online.OracleFunc(func(pt []byte) bool {
+		return pt[0] == 9
+	}), 0)
+	if err != nil || res.Rank != 1 {
+		t.Fatalf("rank %d err %v", res.Rank, err)
 	}
 }

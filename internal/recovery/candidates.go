@@ -124,47 +124,6 @@ func (e *SingleByteEnumerator) Next() (Candidate, bool) {
 	return Candidate{Plaintext: pt, Score: node.score}, true
 }
 
-// SingleByteCandidates materializes the N most likely plaintexts — the
-// paper's Algorithm 1 interface.
-func SingleByteCandidates(likelihoods []*ByteLikelihoods, n int) ([]Candidate, error) {
-	if n <= 0 {
-		return nil, errors.New("recovery: need n > 0")
-	}
-	e, err := NewSingleByteEnumerator(likelihoods)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Candidate, 0, n)
-	for len(out) < n {
-		c, ok := e.Next()
-		if !ok {
-			break
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-// SearchSingleByte walks the candidate list until accept returns true,
-// returning that candidate and its 1-based position in the list. This is
-// the §5.3 ICV-pruning loop. maxDepth bounds the walk (0 means unbounded).
-func SearchSingleByte(likelihoods []*ByteLikelihoods, accept func([]byte) bool, maxDepth int) (Candidate, int, error) {
-	e, err := NewSingleByteEnumerator(likelihoods)
-	if err != nil {
-		return Candidate{}, 0, err
-	}
-	for depth := 1; maxDepth == 0 || depth <= maxDepth; depth++ {
-		c, ok := e.Next()
-		if !ok {
-			break
-		}
-		if accept(c.Plaintext) {
-			return c, depth, nil
-		}
-	}
-	return Candidate{}, 0, errors.New("recovery: no candidate accepted")
-}
-
 // CandidateSource yields plaintext candidates in decreasing likelihood —
 // the decode-side currency of the online attack runtime. The lazy
 // SingleByteEnumerator implements it directly (the TKIP search walks it
@@ -311,13 +270,6 @@ func (d *PairDecoder) Decode(likelihoods []*PairLikelihoods, m1, mL byte, n int,
 		out[i] = Candidate{Plaintext: pt, Score: e.score}
 	}
 	return out, nil
-}
-
-// DoubleByteCandidates is the one-shot form of PairDecoder.Decode, kept for
-// callers that decode once per evidence pool. Repeated decoders (the online
-// runtime) hold a PairDecoder instead, which reuses the N-best tables.
-func DoubleByteCandidates(likelihoods []*PairLikelihoods, m1, mL byte, n int, charset []byte) ([]Candidate, error) {
-	return new(PairDecoder).Decode(likelihoods, m1, mL, n, charset)
 }
 
 // mergeNBest appends the n best extensions ending in value v to dst

@@ -46,10 +46,7 @@ func TestEnumeratorMatchesExhaustiveSort(t *testing.T) {
 		if K > len(all) {
 			K = len(all)
 		}
-		cands, err := SingleByteCandidates(lks, K)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cands := firstCandidates(t, lks, K)
 		if len(cands) != K {
 			t.Fatalf("trial %d: got %d candidates, want %d", trial, len(cands), K)
 		}
@@ -107,7 +104,7 @@ func TestDoubleByteMatchesExhaustiveRandom(t *testing.T) {
 		if K > len(all) {
 			K = len(all)
 		}
-		cands, err := DoubleByteCandidates(lks, m1, mL, K, charset)
+		cands, err := new(PairDecoder).Decode(lks, m1, mL, K, charset)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +131,7 @@ func TestDoubleByteRequestMoreThanSpace(t *testing.T) {
 			lks[i][j] = rng.NormFloat64()
 		}
 	}
-	cands, err := DoubleByteCandidates(lks, 'x', 'y', 1000, charset)
+	cands, err := new(PairDecoder).Decode(lks, 'x', 'y', 1000, charset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,18 +182,5 @@ func TestEnumeratorDeepWalkNoDuplicates(t *testing.T) {
 			t.Fatalf("duplicate at %d: %x", i, c.Plaintext)
 		}
 		seen[k] = true
-	}
-}
-
-// TestSearchAcceptsFirst confirms SearchSingleByte stops at depth 1 when
-// the best candidate is accepted.
-func TestSearchAcceptsFirst(t *testing.T) {
-	var l ByteLikelihoods
-	l[9] = 10
-	_, depth, err := SearchSingleByte([]*ByteLikelihoods{&l}, func(pt []byte) bool {
-		return pt[0] == 9
-	}, 0)
-	if err != nil || depth != 1 {
-		t.Fatalf("depth %d err %v", depth, err)
 	}
 }

@@ -20,7 +20,7 @@ func randomChain(rng *rand.Rand, links int) []*PairLikelihoods {
 
 // TestPairDecoderWorkerInvarianceAndReuse pins the PairDecoder contract the
 // online runtime depends on: output is bitwise identical for any worker
-// count, identical to the one-shot DoubleByteCandidates path, and identical
+// count, identical to a fresh single-use decoder's output, and identical
 // across repeated Decode calls on one decoder (table reuse never changes
 // merge order), including calls with different depths and charsets in
 // between.
@@ -31,7 +31,7 @@ func TestPairDecoderWorkerInvarianceAndReuse(t *testing.T) {
 	m1, mL := charset[3], charset[7]
 	const n = 200
 
-	ref, err := DoubleByteCandidates(lks, m1, mL, n, charset)
+	ref, err := new(PairDecoder).Decode(lks, m1, mL, n, charset)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -340,10 +340,7 @@ func TestSingleByteCandidates(t *testing.T) {
 	for i := range l {
 		l[i] = float64(-i)
 	}
-	cands, err := SingleByteCandidates([]*ByteLikelihoods{&l, &l}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cands := firstCandidates(t, []*ByteLikelihoods{&l, &l}, 10)
 	if len(cands) != 10 {
 		t.Fatalf("got %d candidates", len(cands))
 	}
@@ -355,38 +352,28 @@ func TestSingleByteCandidates(t *testing.T) {
 			t.Fatal("candidates not in decreasing order")
 		}
 	}
-	if _, err := SingleByteCandidates(nil, 5); err == nil {
+	if _, err := NewSingleByteEnumerator(nil); err == nil {
 		t.Error("no positions accepted")
-	}
-	if _, err := SingleByteCandidates([]*ByteLikelihoods{&l}, 0); err == nil {
-		t.Error("n=0 accepted")
 	}
 }
 
-func TestSearchSingleByte(t *testing.T) {
-	var l ByteLikelihoods
-	for i := range l {
-		l[i] = float64(-i)
-	}
-	target := []byte{2, 1}
-	c, depth, err := SearchSingleByte([]*ByteLikelihoods{&l, &l}, func(pt []byte) bool {
-		return bytes.Equal(pt, target)
-	}, 0)
+// firstCandidates drains the first n candidates of the single-byte
+// enumerator over likelihoods.
+func firstCandidates(t *testing.T, likelihoods []*ByteLikelihoods, n int) []Candidate {
+	t.Helper()
+	e, err := NewSingleByteEnumerator(likelihoods)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(c.Plaintext, target) {
-		t.Errorf("found %v", c.Plaintext)
+	var out []Candidate
+	for len(out) < n {
+		c, ok := e.Next()
+		if !ok {
+			break
+		}
+		out = append(out, c)
 	}
-	if depth < 2 {
-		t.Errorf("depth %d too shallow", depth)
-	}
-	// maxDepth bound respected.
-	if _, _, err := SearchSingleByte([]*ByteLikelihoods{&l, &l}, func(pt []byte) bool {
-		return bytes.Equal(pt, []byte{255, 255})
-	}, 3); err == nil {
-		t.Error("depth bound ignored")
-	}
+	return out
 }
 
 func TestDoubleByteCandidatesViterbi(t *testing.T) {
@@ -406,7 +393,7 @@ func TestDoubleByteCandidatesViterbi(t *testing.T) {
 	set(1, 'b', 'c', 0)
 	set(1, 'x', 'c', -0.5)
 	set(2, 'c', 'Z', 0)
-	cands, err := DoubleByteCandidates(lks, 'A', 'Z', 3, nil)
+	cands, err := new(PairDecoder).Decode(lks, 'A', 'Z', 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +430,7 @@ func TestDoubleByteCandidatesExactTopN(t *testing.T) {
 		}
 	}
 	const m1, mL = 'a', 'd'
-	cands, err := DoubleByteCandidates(lks, m1, mL, 20, charset)
+	cands, err := new(PairDecoder).Decode(lks, m1, mL, 20, charset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +472,7 @@ func TestDoubleByteCandidatesCharsetRestriction(t *testing.T) {
 		lks[i] = new(PairLikelihoods)
 	}
 	charset := []byte("0123456789")
-	cands, err := DoubleByteCandidates(lks, 'G', 'H', 50, charset)
+	cands, err := new(PairDecoder).Decode(lks, 'G', 'H', 50, charset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,17 +491,17 @@ func TestDoubleByteCandidatesCharsetRestriction(t *testing.T) {
 
 func TestDoubleByteCandidatesErrors(t *testing.T) {
 	lks := []*PairLikelihoods{new(PairLikelihoods)}
-	if _, err := DoubleByteCandidates(lks, 0, 0, 0, nil); err == nil {
+	if _, err := new(PairDecoder).Decode(lks, 0, 0, 0, nil); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := DoubleByteCandidates(nil, 0, 0, 1, nil); err == nil {
+	if _, err := new(PairDecoder).Decode(nil, 0, 0, 1, nil); err == nil {
 		t.Error("empty chain accepted")
 	}
-	if _, err := DoubleByteCandidates(lks, 0, 0, 1, nil); err == nil {
+	if _, err := new(PairDecoder).Decode(lks, 0, 0, 1, nil); err == nil {
 		t.Error("chain with no unknown byte accepted")
 	}
 	lks2 := []*PairLikelihoods{new(PairLikelihoods), new(PairLikelihoods)}
-	if _, err := DoubleByteCandidates(lks2, 0, 0, 1, []byte{}); err == nil {
+	if _, err := new(PairDecoder).Decode(lks2, 0, 0, 1, []byte{}); err == nil {
 		t.Error("empty charset accepted")
 	}
 }
@@ -559,7 +546,7 @@ func BenchmarkDoubleByteCandidates(b *testing.B) {
 	charset := []byte("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if _, err := DoubleByteCandidates(lks, '=', ';', 256, charset); err != nil {
+		if _, err := new(PairDecoder).Decode(lks, '=', ';', 256, charset); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,9 +5,7 @@ import (
 	"math"
 	"math/rand"
 
-	"rc4break/internal/checksum"
 	"rc4break/internal/dataset"
-	"rc4break/internal/michael"
 	"rc4break/internal/recovery"
 	"rc4break/internal/snapshot"
 )
@@ -170,34 +168,6 @@ func (a *Attack) Decode(max int) (recovery.CandidateSource, error) {
 		return nil, err
 	}
 	return recovery.NewSingleByteEnumerator(lks)
-}
-
-// RecoverTrailer runs the §5.3 candidate search: the attacked positions are
-// the 12 trailer bytes (MIC ‖ ICV) of a packet whose MSDU plaintext is
-// known. Candidates are generated in decreasing likelihood and pruned by
-// the ICV check; on success the recovered MIC key is returned along with
-// the 1-based candidate list position at which the check first passed
-// (Figure 9's metric).
-func (a *Attack) RecoverTrailer(da, sa [6]byte, knownMSDU []byte, maxDepth int) ([michael.KeySize]byte, int, error) {
-	if len(a.Positions) != TrailerSize {
-		return [michael.KeySize]byte{}, 0, errors.New("tkip: attack must cover exactly the 12 trailer bytes")
-	}
-	lks, err := a.Likelihoods()
-	if err != nil {
-		return [michael.KeySize]byte{}, 0, err
-	}
-	plain := make([]byte, len(knownMSDU)+TrailerSize)
-	copy(plain, knownMSDU)
-	cand, depth, err := recovery.SearchSingleByte(lks, func(trailer []byte) bool {
-		copy(plain[len(knownMSDU):], trailer)
-		return checksum.VerifyICV(plain)
-	}, maxDepth)
-	if err != nil {
-		return [michael.KeySize]byte{}, 0, err
-	}
-	copy(plain[len(knownMSDU):], cand.Plaintext)
-	key, err := RecoverMICKeyFromPlaintext(da, sa, plain)
-	return key, depth, err
 }
 
 // SimulateCaptures fills the attack statistics with n model-mode captures:

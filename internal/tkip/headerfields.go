@@ -4,8 +4,8 @@ import (
 	"errors"
 
 	"rc4break/internal/checksum"
+	"rc4break/internal/online"
 	"rc4break/internal/packet"
-	"rc4break/internal/recovery"
 )
 
 // This file implements the second half of §5.3: before the trailer can be
@@ -42,26 +42,21 @@ func TCPPortPositions() []int {
 // unknown fields (TTL, SrcIP[2], SrcIP[3]); the attack must have been
 // created over exactly IPFieldPositions(). It returns the recovered field
 // values (ttl, ip2, ip3), the candidate position at which the checksum
-// first verified, and an error when the search is exhausted.
+// first verified, and an error when maxDepth candidates (0 means
+// online.DefaultMaxCandidates) are exhausted.
 func (a *Attack) RecoverIPFields(knownHeader [packet.IPv4Size]byte, maxDepth int) (ttl, ip2, ip3 byte, depth int, err error) {
 	if len(a.Positions) != 3 {
 		return 0, 0, 0, 0, errors.New("tkip: attack must cover exactly the 3 unknown IP field positions")
 	}
-	lks, err := a.Likelihoods()
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
 	hdr := knownHeader
-	cand, depth, err := recovery.SearchSingleByte(lks, func(fields []byte) bool {
-		hdr[8] = fields[0]
-		hdr[14] = fields[1]
-		hdr[15] = fields[2]
+	fields, depth, err := a.searchChecksum(func(fields []byte) bool {
+		hdr[8], hdr[14], hdr[15] = fields[0], fields[1], fields[2]
 		return checksum.InternetValid(hdr[:])
 	}, maxDepth)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	return cand.Plaintext[0], cand.Plaintext[1], cand.Plaintext[2], depth, nil
+	return fields[0], fields[1], fields[2], depth, nil
 }
 
 // RecoverTCPPort runs the analogous search for the TCP source port, pruned
@@ -75,18 +70,27 @@ func (a *Attack) RecoverTCPPort(knownSegment []byte, srcIP, dstIP [4]byte, maxDe
 	if len(knownSegment) < packet.TCPSize {
 		return 0, 0, errors.New("tkip: segment shorter than a TCP header")
 	}
-	lks, err := a.Likelihoods()
-	if err != nil {
-		return 0, 0, err
-	}
 	seg := append([]byte(nil), knownSegment...)
-	cand, depth, err := recovery.SearchSingleByte(lks, func(fields []byte) bool {
-		seg[0] = fields[0]
-		seg[1] = fields[1]
+	fields, depth, err := a.searchChecksum(func(fields []byte) bool {
+		seg[0], seg[1] = fields[0], fields[1]
 		return packet.VerifyTCPChecksum(seg, srcIP, dstIP)
 	}, maxDepth)
 	if err != nil {
 		return 0, 0, err
 	}
-	return uint16(cand.Plaintext[0])<<8 | uint16(cand.Plaintext[1]), depth, nil
+	return uint16(fields[0])<<8 | uint16(fields[1]), depth, nil
+}
+
+// searchChecksum walks the attacked positions' candidates against a
+// checksum predicate and returns the first that verifies with its 1-based
+// list position.
+func (a *Attack) searchChecksum(valid func([]byte) bool, maxDepth int) ([]byte, int, error) {
+	res, err := online.Search(a, online.OracleFunc(valid), maxDepth)
+	if err != nil {
+		return nil, 0, err
+	}
+	if res.Plaintext == nil {
+		return nil, 0, errors.New("tkip: no candidate passed the checksum")
+	}
+	return res.Plaintext, res.Rank, nil
 }

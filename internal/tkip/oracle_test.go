@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"rc4break/internal/michael"
+	"rc4break/internal/online"
 	"rc4break/internal/rc4"
-	"rc4break/internal/recovery"
 )
 
 // plaintextBody decrypts one encapsulation with the real key, returning the
@@ -109,8 +109,8 @@ func TestAttackLikelihoodsWorkerInvariance(t *testing.T) {
 }
 
 // TestAttackDecodeWalksToTrueTrailer confirms the online Decode source,
-// walked against the trailer oracle, finds the true trailer — the lazy
-// counterpart of RecoverTrailer.
+// walked against the trailer oracle by online.Search, finds the true
+// trailer.
 func TestAttackDecodeWalksToTrueTrailer(t *testing.T) {
 	msdu := testMSDU()
 	positions := TrailerPositions(len(msdu))
@@ -126,27 +126,15 @@ func TestAttackDecodeWalksToTrueTrailer(t *testing.T) {
 	if err := a.SimulateCaptures(rand.New(rand.NewSource(4)), trailer, 9<<20); err != nil {
 		t.Fatal(err)
 	}
-	src, err := a.Decode(0)
+	oracle := &TrailerOracle{DA: s.DA, SA: s.SA, MSDU: msdu}
+	res, err := online.Search(a, oracle, 1<<14)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := &TrailerOracle{DA: s.DA, SA: s.SA, MSDU: msdu}
-	var found bool
-	for depth := 1; depth <= 1<<14; depth++ {
-		c, ok := src.Next()
-		if !ok {
-			break
-		}
-		if oracle.Check(c.Plaintext) {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if res.Plaintext == nil {
 		t.Skip("true trailer beyond test search depth at this evidence level")
 	}
 	if oracle.MICKey != s.MICKey {
 		t.Fatalf("recovered MIC key %x, want %x", oracle.MICKey, s.MICKey)
 	}
-	var _ recovery.CandidateSource = src
 }

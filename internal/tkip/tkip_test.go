@@ -250,9 +250,6 @@ func TestAttackValidation(t *testing.T) {
 	if err := a.SimulateCaptures(nil, []byte{1}, 1); err == nil {
 		t.Error("plaintext length mismatch accepted")
 	}
-	if _, _, err := a.RecoverTrailer([6]byte{}, [6]byte{}, nil, 1); err == nil {
-		t.Error("non-trailer attack allowed trailer recovery")
-	}
 }
 
 func TestAttackObserveCounts(t *testing.T) {
