@@ -2,8 +2,13 @@
 // them for later analysis by biastest — the repository's version of the
 // paper's §3.2 distributed worker system, including its operational
 // realities: multi-hour runs are generated in checkpointed chunks that
-// survive a kill, and shards generated on independent machines (disjoint
-// -lanebase ranges or different -seed values) merge into one dataset.
+// survive a kill, and shards generated on independent machines (distinct
+// -lanebase values or different -seed values) merge into one dataset.
+//
+// A run draws keys 0..keys-1 of key lane -lanebase (see dataset.KeySource),
+// and a chunk is the key range [done, done+n) of that lane. So neither
+// -workers nor -checkpoint-every changes a bit of the dataset, and a
+// finished run can be extended by resuming it with a larger -keys.
 //
 // Usage:
 //
@@ -17,51 +22,79 @@
 //
 // Sharded generation across machines, then merge:
 //
-//	biasgen -kind single -positions 64 -keys 8388608 -lanebase 0     -out shard0.gob
-//	biasgen -kind single -positions 64 -keys 8388608 -lanebase 65536 -out shard1.gob
+//	biasgen -kind single -positions 64 -keys 8388608 -lanebase 0 -out shard0.gob
+//	biasgen -kind single -positions 64 -keys 8388608 -lanebase 1 -out shard1.gob
 //	biasgen -merge shard0.gob,shard1.gob -out all.gob
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 
 	"rc4break/internal/cliutil"
 	"rc4break/internal/dataset"
 )
 
-// chunkLaneStride spaces the lane ranges of consecutive chunks in the high
-// bits of the lane space, so chunk lanes can never walk into another
-// shard's -lanebase range (lane bases are validated to stay below the
-// stride) and no two chunks ever share an RC4 key sequence.
-const chunkLaneStride = 1 << 40
-
 func main() {
-	kind := flag.String("kind", "single", "dataset kind: single | digraph")
-	positions := flag.Int("positions", 64, "keystream positions to cover")
-	keys := flag.Uint64("keys", 1<<20, "number of random 16-byte RC4 keys")
-	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	out := flag.String("out", "", "output file (required)")
-	seed := flag.Uint64("seed", 0, "master key seed (first 8 bytes of the AES master)")
-	laneBase := flag.Uint64("lanebase", 0, "key-lane base; give shards on different machines disjoint ranges")
-	every := flag.Uint64("checkpoint-every", 0, "keys per chunk; > 0 writes -out after every chunk so a killed run can resume")
-	resume := flag.Bool("resume", false, "continue a checkpointed run from -out (flags must match the original run)")
-	merge := flag.String("merge", "", "comma-separated dataset files to merge into -out (no generation)")
-	flag.Parse()
-
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "biasgen: -out is required")
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errInterrupted):
+		fmt.Fprintln(os.Stderr, "biasgen:", err)
+		os.Exit(130)
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, "biasgen:", err)
 		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "biasgen:", err)
+		os.Exit(1)
 	}
+}
 
+var (
+	// errUsage marks errors in the command line itself.
+	errUsage = errors.New("usage")
+	// errInterrupted marks a run stopped by SIGINT or SIGTERM.
+	errInterrupted = errors.New("interrupted")
+)
+
+// errOldLayout refuses files whose generation record carries the "workers"
+// key: those were drawn with one key lane per worker and per chunk, a key
+// population no run under the absolute-index layout can continue or tell
+// apart from another shard.
+var errOldLayout = errors.New("generated with the retired per-worker key-lane layout (its record carries -workers); regenerate it to resume or merge")
+
+// run parses args and generates, resumes or merges a dataset, writing its
+// progress lines to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("biasgen", flag.ContinueOnError)
+	kind := fs.String("kind", "single", "dataset kind: single | digraph")
+	positions := fs.Int("positions", 64, "keystream positions to cover")
+	keys := fs.Uint64("keys", 1<<20, "number of random 16-byte RC4 keys")
+	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS); changes no bit of the dataset")
+	out := fs.String("out", "", "output file (required)")
+	seed := fs.Uint64("seed", 0, "master key seed (first 8 bytes of the AES master)")
+	laneBase := fs.Uint64("lanebase", 0, "key lane; give shards on different machines any distinct values")
+	every := fs.Uint64("checkpoint-every", 0, "keys per chunk; > 0 writes -out after every chunk so a killed run can resume")
+	resume := fs.Bool("resume", false, "continue (or extend to a larger -keys) the run in -out; -seed and -lanebase must match it")
+	merge := fs.String("merge", "", "comma-separated dataset files to merge into -out (no generation)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if *out == "" {
+		return fmt.Errorf("%w: -out is required", errUsage)
+	}
 	if *merge != "" {
-		mergeDatasets(cliutil.SplitList(*merge), *out)
-		return
+		return mergeDatasets(w, cliutil.SplitList(*merge), *out)
 	}
 
 	var master [16]byte
@@ -76,78 +109,54 @@ func main() {
 	case "digraph":
 		factory = func() dataset.Observer { return dataset.NewDigraphCounts(*positions) }
 	default:
-		fmt.Fprintf(os.Stderr, "biasgen: unknown kind %q\n", *kind)
-		os.Exit(2)
+		return fmt.Errorf("%w: unknown kind %q", errUsage, *kind)
 	}
 
-	// The checkpoint metadata pins every flag the key sequence depends on:
-	// resuming under a different seed, lane base, chunking, or worker
-	// count (dataset.SplitKeys hands each worker its own key lane, so the
-	// key population varies with it — resolve the GOMAXPROCS default to a
-	// concrete count before pinning) would silently mix incompatible key
+	// The generation record pins the flags the key population depends on:
+	// resuming under a different seed or lane would silently mix key
 	// populations, so it is rejected.
-	resolvedWorkers := *workers
-	if resolvedWorkers <= 0 {
-		resolvedWorkers = runtime.GOMAXPROCS(0)
-	}
-	// A chunk occupies lanes [lanebase + chunk·stride, … + workers); the
-	// base AND the worker span must stay inside one stride, or a shard's
-	// lanes would walk into another chunk's range and draw the same keys.
-	// Compared by subtraction so a lane base near 2^64 cannot wrap the sum
-	// past the check.
-	if uint64(resolvedWorkers) >= chunkLaneStride || *laneBase > chunkLaneStride-uint64(resolvedWorkers) {
-		fatal(fmt.Errorf("-lanebase %d + %d workers exceeds the per-chunk lane stride %d; shard bases (spaced at least a worker count apart) must stay below it", *laneBase, resolvedWorkers, uint64(chunkLaneStride)))
-	}
-	genMeta := map[string]uint64{
-		"seed":             *seed,
-		"lanebase":         *laneBase,
-		"checkpoint-every": *every,
-		"workers":          uint64(resolvedWorkers),
-	}
+	genMeta := map[string]uint64{"seed": *seed, "lanebase": *laneBase}
 
-	// Resume: reload the checkpoint and skip the chunks it already holds.
-	// Chunk lanes are a fixed function of the chunk index, so the resumed
-	// run generates exactly the keys the uninterrupted run would have.
+	// Resume: reload the checkpoint and continue at the first key it does
+	// not hold. Keys are addressed by index, so the resumed run generates
+	// exactly the keys an uninterrupted run would have.
 	var obs dataset.Observer
 	var done uint64
 	if *resume {
 		loaded, meta, err := dataset.LoadFileMeta(*out)
-		if os.IsNotExist(err) {
+		switch {
+		case os.IsNotExist(err):
 			// Bootstrap-friendly: "kill and rerun" keeps one command line,
 			// so a missing checkpoint simply means this is the first run.
-			fmt.Printf("no checkpoint at %s yet; starting fresh\n", *out)
-		} else if err != nil {
-			fatal(fmt.Errorf("resume %s: %w", *out, err))
-		} else {
+			fmt.Fprintf(w, "no checkpoint at %s yet; starting fresh\n", *out)
+		case err != nil:
+			return fmt.Errorf("resume %s: %w", *out, err)
+		default:
 			if err := validateResume(loaded, *kind, *positions); err != nil {
-				fatal(err)
+				return err
 			}
 			if meta == nil {
-				fatal(fmt.Errorf("resume %s: file carries no generation parameters (not a biasgen checkpoint)", *out))
+				return fmt.Errorf("resume %s: file carries no generation parameters (not a biasgen checkpoint)", *out)
+			}
+			if _, old := meta["workers"]; old {
+				return fmt.Errorf("resume %s: %w", *out, errOldLayout)
 			}
 			for k, want := range genMeta {
 				got, ok := meta[k]
 				if !ok {
-					fatal(fmt.Errorf("resume %s: checkpoint records no -%s value", *out, k))
+					return fmt.Errorf("resume %s: checkpoint records no -%s value", *out, k)
 				}
 				if got != want {
-					fatal(fmt.Errorf("resume %s: checkpoint was generated with -%s=%d, flags request %d", *out, k, got, want))
+					return fmt.Errorf("resume %s: checkpoint was generated with -%s=%d, flags request %d", *out, k, got, want)
 				}
 			}
 			obs = loaded
 			done = dataset.KeysObserved(loaded)
-			switch {
-			case done >= *keys:
-				fmt.Printf("resume %s: already holds %d keys (target %d); nothing to do\n", *out, done, *keys)
-				return
-			case *every == 0:
-				// An every=0 run drew all its keys from chunk 0; extending it
-				// would re-draw those same lanes and double-count them.
-				fatal(fmt.Errorf("resume %s: run was generated without -checkpoint-every and cannot be extended", *out))
-			case done%*every != 0:
-				fatal(fmt.Errorf("checkpoint holds %d keys, which is not a multiple of -checkpoint-every %d", done, *every))
+			if done >= *keys {
+				fmt.Fprintf(w, "resume %s: already holds %d keys (target %d); nothing to do\n", *out, done, *keys)
+				return nil
 			}
-			fmt.Printf("resuming from %s: %d/%d keys done\n", *out, done, *keys)
+			fmt.Fprintf(w, "resuming from %s: %d/%d keys done\n", *out, done, *keys)
 		}
 	}
 
@@ -156,48 +165,43 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	chunkSize := *keys
-	if *every > 0 {
-		chunkSize = *every
-	}
 	for done < *keys {
-		n := chunkSize
-		if remaining := *keys - done; n > remaining {
-			n = remaining
+		n := *keys - done
+		if *every > 0 && n > *every {
+			n = *every
 		}
-		chunk := done / chunkSize
 		chunkObs, err := dataset.Run(dataset.Config{
 			Keys:       n,
-			Workers:    resolvedWorkers,
+			Workers:    *workers,
 			Master:     master,
 			Ctx:        ctx,
-			LaneOffset: *laneBase + chunk*chunkLaneStride,
+			LaneOffset: *laneBase,
+			FirstKey:   done,
 		}, factory)
 		if err != nil {
-			if ctx.Err() != nil {
-				switch {
-				case *every > 0 && done > 0:
-					fmt.Fprintf(os.Stderr, "biasgen: interrupted at %d/%d keys; rerun with -resume to continue\n", done, *keys)
-				case *every > 0:
-					fmt.Fprintf(os.Stderr, "biasgen: interrupted before the first chunk completed; nothing checkpointed yet\n")
-				default:
-					fmt.Fprintf(os.Stderr, "biasgen: interrupted at %d/%d keys; no checkpoint written (set -checkpoint-every to make runs resumable)\n", done, *keys)
-				}
-				os.Exit(130)
+			if ctx.Err() == nil {
+				return err
 			}
-			fatal(err)
+			switch {
+			case *every > 0 && done > 0:
+				return fmt.Errorf("%w at %d/%d keys; rerun with -resume to continue", errInterrupted, done, *keys)
+			case *every > 0:
+				return fmt.Errorf("%w before the first chunk completed; nothing checkpointed yet", errInterrupted)
+			default:
+				return fmt.Errorf("%w at %d/%d keys; no checkpoint written (set -checkpoint-every to make runs resumable)", errInterrupted, done, *keys)
+			}
 		}
 		if obs == nil {
 			obs = chunkObs
 		} else if err := obs.Merge(chunkObs); err != nil {
-			fatal(err)
+			return err
 		}
 		done += n
 		if *every > 0 {
 			if err := dataset.SaveFileMeta(*out, obs, genMeta); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("checkpoint: %d/%d keys -> %s\n", done, *keys, *out)
+			fmt.Fprintf(w, "checkpoint: %d/%d keys -> %s\n", done, *keys, *out)
 		}
 	}
 
@@ -205,48 +209,53 @@ func main() {
 	// chunk; only unchunked runs still need their single save.
 	if *every == 0 {
 		if err := dataset.SaveFileMeta(*out, obs, genMeta); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	fmt.Printf("wrote %s dataset: %d keys x %d positions -> %s\n", *kind, *keys, *positions, *out)
+	fmt.Fprintf(w, "wrote %s dataset: %d keys x %d positions -> %s\n", *kind, *keys, *positions, *out)
+	return nil
 }
 
 // mergeDatasets combines shard files into one dataset; shapes must match,
 // and shards whose generation parameters show they drew the same key
 // population (identical seed and lane base) are rejected rather than
-// double-counted. Files without metadata (legacy or already-merged) carry
-// no lineage and are merged as-is.
-func mergeDatasets(paths []string, out string) {
+// double-counted. Files without metadata (already-merged ones) carry no
+// lineage and are merged as-is.
+func mergeDatasets(w io.Writer, paths []string, out string) error {
 	var merged dataset.Observer
 	var total uint64
 	seen := make(map[[2]uint64]string)
 	for _, p := range paths {
 		obs, meta, err := dataset.LoadFileMeta(p)
 		if err != nil {
-			fatal(fmt.Errorf("merge %s: %w", p, err))
+			return fmt.Errorf("merge %s: %w", p, err)
 		}
 		if meta != nil {
+			if _, old := meta["workers"]; old {
+				return fmt.Errorf("merge %s: %w", p, errOldLayout)
+			}
 			id := [2]uint64{meta["seed"], meta["lanebase"]}
 			if prev, dup := seen[id]; dup {
-				fatal(fmt.Errorf("merge %s: same seed/lanebase as %s — the shards drew the same keys and would be double-counted", p, prev))
+				return fmt.Errorf("merge %s: same seed/lanebase as %s — the shards drew the same keys and would be double-counted", p, prev)
 			}
 			seen[id] = p
 		}
 		if merged == nil {
 			merged = obs
 		} else if err := merged.Merge(obs); err != nil {
-			fatal(fmt.Errorf("merge %s: %w", p, err))
+			return fmt.Errorf("merge %s: %w", p, err)
 		}
 		total = dataset.KeysObserved(merged)
-		fmt.Printf("merged %s (%d keys, total %d)\n", p, dataset.KeysObserved(obs), total)
+		fmt.Fprintf(w, "merged %s (%d keys, total %d)\n", p, dataset.KeysObserved(obs), total)
 	}
 	if merged == nil {
-		fatal(fmt.Errorf("no dataset files to merge"))
+		return fmt.Errorf("%w: no dataset files to merge", errUsage)
 	}
 	if err := dataset.SaveFile(out, merged); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("wrote merged dataset: %d keys -> %s\n", total, out)
+	fmt.Fprintf(w, "wrote merged dataset: %d keys -> %s\n", total, out)
+	return nil
 }
 
 // validateResume checks that the checkpoint matches the requested dataset
@@ -265,9 +274,4 @@ func validateResume(obs dataset.Observer, kind string, positions int) error {
 		return fmt.Errorf("checkpoint holds %T, which biasgen does not generate", obs)
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "biasgen:", err)
-	os.Exit(1)
 }

@@ -12,7 +12,7 @@ import (
 // per-window FNV hashes. Summation commutes, so two runs that deliver the
 // same multiset of windows — however interleaved across keys or shards —
 // produce the same digest, while any single flipped keystream byte changes
-// it. That is exactly the Sink ordering contract the batched backend is
+// it. That is exactly the Sink ordering contract the batched kernel is
 // allowed to relax, and no more.
 type digestSink struct {
 	sum     uint64
@@ -36,61 +36,53 @@ func (d *digestSink) Merge(other Sink) error {
 	return nil
 }
 
-func runDigest(t *testing.T, backend rc4.Backend, st Stream, keys uint64, shards int) *digestSink {
-	t.Helper()
-	sink, err := Engine{Workers: 2, Backend: backend}.Run(context.Background(), st,
-		SplitKeys(keys, shards, 7), func(int) Sink { return &digestSink{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sink.(*digestSink)
-}
-
-// TestEngineBackendEquivalence pins the batched backend against the scalar
-// one across batch-boundary shapes: shards bigger than one lane batch,
-// shards with ragged tails, and shards smaller than a single batch (all of
-// it padded). Covers skip, overlap carry, multi-block delivery, and a
-// KeyDeriver, so every scalar-path feature crosses the batched path too.
+// TestEngineBackendEquivalence pins the batched kernel against a
+// sequential rc4.Cipher pass over the same keys across batch-boundary
+// shapes: shards bigger than one lane batch, shards with ragged tails, and
+// shards smaller than a single batch (all of it padded), at several worker
+// counts. Covers skip, overlap carry, multi-block delivery, and a
+// KeyDeriver that folds the key's index into it.
 func TestEngineBackendEquivalence(t *testing.T) {
+	const lane, first = 7, 1000
 	st := Stream{
-		KeyLen:   16,
 		Skip:     5,
 		Overlap:  2,
 		BlockLen: 9,
 		Blocks:   4,
-		KeyDeriver: func(keyIndex uint64, key []byte) {
-			key[0] = byte(keyIndex) // fold the global index into the key
+		KeyDeriver: func(_, index uint64, key []byte) {
+			key[0] = byte(index)
 		},
 	}
 	for _, keys := range []uint64{1, 3, 32, 70, 131} {
-		scalar := runDigest(t, rc4.BackendScalar, st, keys, 2)
-		multi := runDigest(t, rc4.BackendMulti, st, keys, 2)
-		if scalar.windows != multi.windows {
-			t.Fatalf("keys=%d: window count %d (scalar) vs %d (multi)", keys, scalar.windows, multi.windows)
+		want := &digestSink{}
+		src := NewKeySourceAt(st.Master, lane, first)
+		key := make([]byte, 16)
+		win := make([]byte, st.Overlap+st.BlockLen)
+		for k := uint64(0); k < keys; k++ {
+			src.NextKey(key)
+			st.KeyDeriver(lane, first+k, key)
+			c := rc4.MustNew(key)
+			c.Skip(st.Skip)
+			c.Keystream(win)
+			want.Window(win)
+			for b := 1; b < st.Blocks; b++ {
+				copy(win, win[st.BlockLen:])
+				c.Keystream(win[st.Overlap:])
+				want.Window(win)
+			}
 		}
-		if want := keys * uint64(st.Blocks); scalar.windows != want {
-			t.Fatalf("keys=%d: %d windows, want %d", keys, scalar.windows, want)
+		for _, workers := range pinWorkers {
+			sink, err := Engine{Workers: workers}.Run(context.Background(), st,
+				SplitKeys(Shard{Lane: lane, FirstKey: first, Keys: keys}, workers),
+				func(int) Sink { return &digestSink{} })
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := sink.(*digestSink)
+			if got.windows != want.windows || got.sum != want.sum {
+				t.Fatalf("keys=%d workers=%d: batched digest %d/%x, sequential %d/%x",
+					keys, workers, got.windows, got.sum, want.windows, want.sum)
+			}
 		}
-		if scalar.sum != multi.sum {
-			t.Fatalf("keys=%d: backend digests diverged", keys)
-		}
-	}
-}
-
-// TestEngineBackendEnv checks that Engine resolves RC4_BACKEND, and that an
-// unknown value fails the run instead of silently picking a default.
-func TestEngineBackendEnv(t *testing.T) {
-	st := Stream{BlockLen: 4}
-	t.Setenv(rc4.BackendEnv, "scalar")
-	base := runDigest(t, rc4.BackendAuto, st, 40, 2)
-	t.Setenv(rc4.BackendEnv, "multi")
-	multi := runDigest(t, rc4.BackendAuto, st, 40, 2)
-	if base.sum != multi.sum || base.windows != multi.windows {
-		t.Fatal("env-forced backends disagree")
-	}
-	t.Setenv(rc4.BackendEnv, "quantum")
-	if _, err := (Engine{}).Run(context.Background(), st, SplitKeys(4, 1, 0),
-		func(int) Sink { return &digestSink{} }); err == nil {
-		t.Fatal("invalid RC4_BACKEND did not fail the run")
 	}
 }

@@ -34,6 +34,27 @@ func TestKeySourceDeterministic(t *testing.T) {
 	}
 }
 
+// TestKeySourceAtMatchesDrawing pins index addressing: a source started at
+// index k yields the keys a source from index 0 yields after drawing k.
+func TestKeySourceAtMatchesDrawing(t *testing.T) {
+	master := [16]byte{0x42}
+	for lane := uint64(0); lane < 4; lane++ {
+		seq := NewKeySource(master, lane)
+		var want [16]byte
+		for k := uint64(0); k < 600; k++ {
+			seq.NextKey(want[:])
+			if k%37 != 0 && k != 599 {
+				continue
+			}
+			var got [16]byte
+			NewKeySourceAt(master, lane, k).NextKey(got[:])
+			if got != want {
+				t.Fatalf("lane %d key %d: started source differs from the drawn one", lane, k)
+			}
+		}
+	}
+}
+
 func TestKeySourceVariedLengths(t *testing.T) {
 	src := NewKeySource([16]byte{1}, 0)
 	k8 := make([]byte, 8)
@@ -157,32 +178,25 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(Config{Keys: 0}, func() Observer { return NewSingleByteCounts(1) }); err == nil {
 		t.Error("zero keys accepted")
 	}
-	if _, err := Run(Config{Keys: 10, KeyLen: 300}, func() Observer { return NewSingleByteCounts(1) }); err == nil {
-		t.Error("bad key length accepted")
-	}
 }
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	// The per-lane key derivation means total counts are identical no
-	// matter how work is split... only if lanes are fixed per worker and
-	// key counts per lane match. With different worker counts the key sets
-	// differ, so instead check determinism for the same worker count.
-	cfg := Config{Keys: 2000, Workers: 4}
-	a, err := Run(cfg, func() Observer { return NewSingleByteCounts(8) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg, func() Observer { return NewSingleByteCounts(8) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, sb := a.(*SingleByteCounts), b.(*SingleByteCounts)
-	if sa.Keys != sb.Keys || sa.Keys != 2000 {
-		t.Fatalf("keys %d/%d, want 2000", sa.Keys, sb.Keys)
-	}
-	for i := range sa.Counts {
-		if sa.Counts[i] != sb.Counts[i] {
-			t.Fatal("same config produced different counts")
+	// Keys are addressed by (lane, index) and workers only split the index
+	// range, so every worker count yields the same counts bit for bit.
+	var want *SingleByteCounts
+	for _, workers := range []int{1, 2, 4, 7} {
+		obs, err := Run(Config{Keys: 2000, Workers: workers}, func() Observer { return NewSingleByteCounts(8) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := obs.(*SingleByteCounts)
+		if got.Keys != 2000 {
+			t.Fatalf("workers=%d: keys %d, want 2000", workers, got.Keys)
+		}
+		if want == nil {
+			want = got
+		} else if !equalCounts(got.Counts, want.Counts) {
+			t.Fatalf("workers=%d: counts differ from workers=1", workers)
 		}
 	}
 }
@@ -208,14 +222,21 @@ func TestRunFindsMantinShamirBias(t *testing.T) {
 	}
 }
 
-func TestRunSkip(t *testing.T) {
-	// With Skip=1, observed "Z1" is actually Z2, so the Mantin–Shamir bias
-	// appears at observed position 1.
-	obs, err := Run(Config{Keys: 1 << 17, Skip: 1}, func() Observer { return NewSingleByteCounts(1) })
+// runStream runs st over keys 0..keys-1 of lane 0 into one SingleByteCounts.
+func runStream(t *testing.T, st Stream, keys uint64) *SingleByteCounts {
+	t.Helper()
+	sink, err := Engine{}.Run(context.Background(), st, SplitKeys(Shard{Keys: keys}, 0),
+		func(int) Sink { return observerSink{NewSingleByteCounts(st.BlockLen)} })
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := obs.(*SingleByteCounts)
+	return sink.(observerSink).obs.(*SingleByteCounts)
+}
+
+func TestRunSkip(t *testing.T) {
+	// With Skip=1, observed "Z1" is actually Z2, so the Mantin–Shamir bias
+	// appears at observed position 1.
+	s := runStream(t, Stream{Skip: 1, BlockLen: 1}, 1<<17)
 	if p := s.Probability(1, 0); p < 1.7/256 {
 		t.Errorf("Skip not honored: Pr = %v, want ≈ 2/256", p)
 	}
@@ -225,13 +246,9 @@ func TestRunKeyDeriver(t *testing.T) {
 	// Force every key identical: every keystream identical, so the count
 	// of Z1's value must equal the number of keys.
 	fixed := []byte("0123456789abcdef")
-	obs, err := Run(Config{Keys: 100, KeyDeriver: func(_ uint64, key []byte) {
+	s := runStream(t, Stream{BlockLen: 1, KeyDeriver: func(_, _ uint64, key []byte) {
 		copy(key, fixed)
-	}}, func() Observer { return NewSingleByteCounts(1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := obs.(*SingleByteCounts)
+	}}, 100)
 	var max uint64
 	for _, c := range s.Position(1) {
 		if c > max {

@@ -27,17 +27,20 @@ import (
 // Overlap=1 so pairs spanning block boundaries are seen; the ABSAB scan sets
 // Overlap=maxGap+4 so the second digraph of the largest gap fits; short-term
 // observers set Overlap=0, Blocks=1 and receive each keystream prefix whole.
+//
+// A key's identity is its absolute (lane, index) pair (see KeySource), and
+// SplitKeys only cuts a lane's key range into contiguous pieces, so a
+// dataset is a function of its master, lane and key range alone: no worker
+// count, GOMAXPROCS value or chunking of the range changes a bit of it.
 
 // Stream describes what to generate for every key of a run.
 type Stream struct {
 	// Master is the AES-128 master key all RC4 keys derive from (see
 	// KeySource). The zero value is valid and gives reproducible runs.
 	Master [16]byte
-	// KeyLen is the RC4 key length in bytes; 0 means 16.
-	KeyLen int
-	// KeyDeriver, when non-nil, post-processes each derived key before use.
-	// keyIndex is the global key index (shard.FirstKey + offset).
-	KeyDeriver func(keyIndex uint64, key []byte)
+	// KeyDeriver, when non-nil, post-processes each derived 16-byte key
+	// before use; lane and index name the key (see KeySource).
+	KeyDeriver func(lane, index uint64, key []byte)
 	// Skip discards this many initial keystream bytes per key.
 	Skip int
 	// Overlap is how many bytes of each window repeat the previous window's
@@ -51,9 +54,6 @@ type Stream struct {
 }
 
 func (st Stream) withDefaults() Stream {
-	if st.KeyLen == 0 {
-		st.KeyLen = 16
-	}
 	if st.Blocks == 0 {
 		st.Blocks = 1
 	}
@@ -61,9 +61,6 @@ func (st Stream) withDefaults() Stream {
 }
 
 func (st Stream) validate() error {
-	if st.KeyLen < rc4.MinKeyLen || st.KeyLen > rc4.MaxKeyLen {
-		return rc4.KeySizeError(st.KeyLen)
-	}
 	if st.Skip < 0 || st.Overlap < 0 || st.BlockLen < 0 || st.Blocks < 1 {
 		return fmt.Errorf("dataset: invalid stream (skip=%d overlap=%d blocklen=%d blocks=%d)",
 			st.Skip, st.Overlap, st.BlockLen, st.Blocks)
@@ -71,39 +68,45 @@ func (st Stream) validate() error {
 	return nil
 }
 
-// Shard is one unit of engine work: Keys consecutive keys drawn from the
-// KeySource lane Lane, with global key indices starting at FirstKey.
+// keyLen is the length of every derived RC4 key: the paper's 128-bit keys,
+// one AES block each (see KeySource).
+const keyLen = 16
+
+// Shard is one unit of engine work: the Keys keys of KeySource lane Lane
+// starting at key index FirstKey.
 type Shard struct {
 	Lane     uint64
 	FirstKey uint64
 	Keys     uint64
 }
 
-// SplitKeys builds the canonical shard layout every pre-Engine loop used:
-// keys split as evenly as possible over workers (the first keys%workers
-// shards get one extra), shard w drawing from lane laneOffset+w. Workers is
-// clamped to [1, keys] (GOMAXPROCS when <= 0); zero keys yields no shards.
-func SplitKeys(keys uint64, workers int, laneOffset uint64) []Shard {
-	if keys == 0 {
+// SplitKeys splits the key range r over workers as evenly as possible (the
+// first r.Keys%workers shards get one extra key). Every shard stays in r's
+// lane and covers a contiguous sub-range, so the split changes which
+// goroutine generates a key, never which key it is: a run over the split
+// delivers exactly the windows of a run over r. Workers is clamped to
+// [1, r.Keys] (GOMAXPROCS when <= 0); zero keys yields no shards.
+func SplitKeys(r Shard, workers int) []Shard {
+	if r.Keys == 0 {
 		return nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if uint64(workers) > keys {
-		workers = int(keys)
+	if uint64(workers) > r.Keys {
+		workers = int(r.Keys)
 	}
 	shards := make([]Shard, workers)
-	per := keys / uint64(workers)
-	extra := keys % uint64(workers)
-	var start uint64
+	per := r.Keys / uint64(workers)
+	extra := r.Keys % uint64(workers)
+	next := r.FirstKey
 	for w := range shards {
 		n := per
 		if uint64(w) < extra {
 			n++
 		}
-		shards[w] = Shard{Lane: laneOffset + uint64(w), FirstKey: start, Keys: n}
-		start += n
+		shards[w] = Shard{Lane: r.Lane, FirstKey: next, Keys: n}
+		next += n
 	}
 	return shards
 }
@@ -114,14 +117,14 @@ func SplitKeys(keys uint64, workers int, laneOffset uint64) []Shard {
 // duration of the call. Merge is called on the shard-0 sink with every other
 // shard's sink, in shard order, after all generation finishes.
 //
-// Window ordering: each key's windows arrive in order (window b before
-// window b+1), but windows of *different* keys may interleave — the batched
-// rc4 backend generates up to rc4.MultiLanes keys in lockstep and delivers
-// each window round for the whole batch before the next round. Sinks must
-// therefore be insensitive to cross-key window order; every sink in this
-// repository is a commutative counter, for which the interleaving is
-// invisible. A sink that needs one key's windows contiguous must run with
-// Engine.Backend = rc4.BackendScalar.
+// Each key's windows arrive in order (window b before window b+1), but
+// windows of different keys interleave: the kernel generates up to
+// rc4.MultiLanes keys in lockstep and delivers each window round for the
+// whole batch before the next round, and where batches start depends on
+// how SplitKeys cut the range. Sinks must therefore be exact commutative
+// counters (integer sums, never float folds), as every sink in this
+// repository is: then neither the interleaving nor the worker count can
+// change a result bit.
 type Sink interface {
 	Window(win []byte)
 	Merge(other Sink) error
@@ -134,12 +137,6 @@ type Engine struct {
 	// GOMAXPROCS. Shards are handed to workers from a queue, so Workers
 	// only bounds parallelism — results are identical for any value.
 	Workers int
-	// Backend selects the rc4 kernel family shard workers generate with.
-	// The zero value (rc4.BackendAuto) resolves via the RC4_BACKEND
-	// environment variable and the compile-time default; see rc4.Backend.
-	// Keystream bytes are identical across backends — only the cross-key
-	// window interleaving differs (see Sink).
-	Backend rc4.Backend
 }
 
 // Run generates every shard's keystream windows in parallel, folds them into
@@ -156,10 +153,6 @@ func (e Engine) Run(ctx context.Context, st Stream, shards []Shard, newSink func
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	backend, err := e.Backend.Resolve()
-	if err != nil {
-		return nil, err
 	}
 	if len(shards) == 0 {
 		return nil, nil
@@ -184,8 +177,7 @@ func (e Engine) Run(ctx context.Context, st Stream, shards []Shard, newSink func
 	ctx, runSpan := obs.StartSpan(ctx, "engine.run",
 		obs.Int("shards", int64(len(shards))),
 		obs.U64("keys", total),
-		obs.U64("bytes", total*bytesPerKey),
-		obs.Str("backend", backend.String()))
+		obs.U64("bytes", total*bytesPerKey))
 	defer runSpan.End()
 
 	workers := e.Workers
@@ -209,10 +201,11 @@ func (e Engine) Run(ctx context.Context, st Stream, shards []Shard, newSink func
 				}
 				_, ss := obs.StartSpan(ctx, "engine.shard",
 					obs.U64("lane", shards[i].Lane),
+					obs.U64("first", shards[i].FirstKey),
 					obs.U64("keys", shards[i].Keys),
 					obs.U64("bytes", shards[i].Keys*bytesPerKey))
 				ss.SetTrack(int64(i))
-				errs[w] = runShard(ctx, st, shards[i], sinks[i], prog, backend)
+				errs[w] = runShard(ctx, st, shards[i], sinks[i], prog)
 				ss.End()
 			}
 		}(w)
@@ -237,61 +230,23 @@ func (e Engine) Run(ctx context.Context, st Stream, shards []Shard, newSink func
 	return merged, nil
 }
 
-// cancelCheckBlocks is how many windows a worker generates between context
-// checks inside a single key. Long-term keys can span gigabytes of
-// keystream, so per-key checks alone would not keep cancellation responsive.
+// cancelCheckBlocks is about how many windows a worker generates between
+// context checks inside a batch. Long-term keys can span gigabytes of
+// keystream, so per-batch checks alone would not keep cancellation
+// responsive.
 const cancelCheckBlocks = 1024
 
-// runShard generates one shard's keys and feeds the windows to its sink,
-// through whichever kernel family the resolved backend names.
-func runShard(ctx context.Context, st Stream, sh Shard, sink Sink, prog *progressMeter, backend rc4.Backend) error {
-	if backend == rc4.BackendMulti {
-		return runShardMulti(ctx, st, sh, sink, prog)
-	}
-	src := NewKeySource(st.Master, sh.Lane)
-	key := make([]byte, st.KeyLen)
-	win := make([]byte, st.Overlap+st.BlockLen)
-	var c rc4.Cipher
-	for k := uint64(0); k < sh.Keys; k++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		src.NextKey(key)
-		if st.KeyDeriver != nil {
-			st.KeyDeriver(sh.FirstKey+k, key)
-		}
-		if err := c.Rekey(key); err != nil {
-			return err
-		}
-		// One fused call covers the per-key drop plus the first window
-		// (overlap prefix and first block alike are fresh bytes).
-		c.SkipKeystream(st.Skip, win)
-		sink.Window(win)
-		for b := 1; b < st.Blocks; b++ {
-			if b%cancelCheckBlocks == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			copy(win, win[st.BlockLen:])
-			c.Keystream(win[st.Overlap:])
-			sink.Window(win)
-		}
-		prog.done()
-	}
-	return nil
-}
-
-// runShardMulti is runShard on the batched rc4 backend: it fills
-// rc4.MultiLanes key-lanes at a time through one MultiCipher, so the kernel
-// amortizes loop and index overhead across the whole batch. Keys are drawn
-// from the KeySource in exactly the scalar order; a tail batch shorter than
-// the lane count pads the spare lanes by re-keying them with the batch's
-// first key *without* drawing from the source, and their output is never
-// delivered — so the keystream bytes any sink sees are bitwise identical to
-// the scalar path, merely interleaved across the batch (see Sink).
-func runShardMulti(ctx context.Context, st Stream, sh Shard, sink Sink, prog *progressMeter) error {
-	src := NewKeySource(st.Master, sh.Lane)
+// runShard generates one shard's keys and feeds the windows to its sink. It
+// fills rc4.MultiLanes key-lanes at a time through one MultiCipher, so the
+// kernel amortizes loop and index overhead across the whole batch. Keys are
+// drawn from the KeySource in index order; a tail batch shorter than the
+// lane count pads the spare lanes by re-keying them with the batch's first
+// key *without* drawing from the source, and their output is never
+// delivered. Every window is therefore bitwise the one a sequential
+// rc4.Cipher pass over the same keys produces, merely interleaved across
+// the batch (see Sink).
+func runShard(ctx context.Context, st Stream, sh Shard, sink Sink, prog *progressMeter) error {
+	src := NewKeySourceAt(st.Master, sh.Lane, sh.FirstKey)
 	m := rc4.NewMulti()
 	lanes := uint64(m.Lanes())
 	keys := make([][]byte, lanes)
@@ -300,13 +255,11 @@ func runShardMulti(ctx context.Context, st Stream, sh Shard, sink Sink, prog *pr
 	winLen := st.Overlap + st.BlockLen
 	buf := make([]byte, int(lanes)*winLen)
 	for l := range keys {
-		keys[l] = make([]byte, st.KeyLen)
+		keys[l] = make([]byte, keyLen)
 		wins[l] = buf[l*winLen : (l+1)*winLen]
 		tails[l] = wins[l][st.Overlap:]
 	}
-	// Keep cancellation about as responsive as the scalar path's
-	// per-cancelCheckBlocks-windows check: one batched round generates
-	// lanes windows at once.
+	// One batched round generates lanes windows at once.
 	checkEvery := cancelCheckBlocks / int(lanes)
 	if checkEvery == 0 {
 		checkEvery = 1
@@ -322,7 +275,7 @@ func runShardMulti(ctx context.Context, st Stream, sh Shard, sink Sink, prog *pr
 		for b := uint64(0); b < n; b++ {
 			src.NextKey(keys[b])
 			if st.KeyDeriver != nil {
-				st.KeyDeriver(sh.FirstKey+k+b, keys[b])
+				st.KeyDeriver(sh.Lane, sh.FirstKey+k+b, keys[b])
 			}
 		}
 		for b := n; b < lanes; b++ {

@@ -8,104 +8,89 @@ import (
 	"rc4break/internal/rc4"
 )
 
-// --- pre-Engine reference implementations -------------------------------
+// --- sequential references ----------------------------------------------
 //
-// These replicate the hand-rolled fan-out loops the Engine replaced,
-// sequentially, shard by shard: same lane numbering, same per/extra key
-// split, same skip and window mechanics. The equivalence tests below pin the
-// refactor to them bitwise.
+// Each reference is one sequential rc4.Cipher pass over keys 0..n-1 of the
+// collector's lane, with its own skip and carry mechanics rather than the
+// engine's windows. The pins below hold every collector to its reference
+// at several worker counts, so they pin both the batched kernel against
+// the per-key Cipher and the result against the worker count.
 
-// refRun is the pre-Engine dataset.Run worker loop.
+// pinWorkers are the worker counts every reference pin runs at.
+var pinWorkers = []int{1, 2, 3, 7}
+
+// refRun is dataset.Run as one sequential pass.
 func refRun(cfg Config, factory func() Observer) Observer {
-	cfg = cfg.withDefaults()
-	var merged Observer
-	for _, sh := range SplitKeys(cfg.Keys, cfg.Workers, runLaneOffset) {
-		obs := factory()
-		src := NewKeySource(cfg.Master, sh.Lane)
-		key := make([]byte, cfg.KeyLen)
-		ks := make([]byte, obs.KeystreamLen())
-		for i := uint64(0); i < sh.Keys; i++ {
-			src.NextKey(key)
-			if cfg.KeyDeriver != nil {
-				cfg.KeyDeriver(sh.FirstKey+i, key)
-			}
-			c := rc4.MustNew(key)
-			if cfg.Skip > 0 {
-				c.Skip(cfg.Skip)
-			}
-			c.Keystream(ks)
-			obs.Observe(ks)
-		}
-		if merged == nil {
-			merged = obs
-		} else if err := merged.Merge(obs); err != nil {
-			panic(err)
-		}
+	obs := factory()
+	src := NewKeySourceAt(cfg.Master, runLaneOffset+cfg.LaneOffset, cfg.FirstKey)
+	key := make([]byte, 16)
+	ks := make([]byte, obs.KeystreamLen())
+	for i := uint64(0); i < cfg.Keys; i++ {
+		src.NextKey(key)
+		rc4.MustNew(key).Keystream(ks)
+		obs.Observe(ks)
 	}
-	return merged
+	return obs
 }
 
-// refCollectLongTerm is the pre-Engine CollectLongTerm worker loop.
-func refCollectLongTerm(master [16]byte, keys, blocks, workers int) *LongTermDigraphs {
+// refCollectLongTerm is CollectLongTerm as one sequential pass.
+func refCollectLongTerm(master [16]byte, keys, blocks int) *LongTermDigraphs {
 	merged := &LongTermDigraphs{}
-	for _, sh := range SplitKeys(uint64(keys), workers, longTermLaneOffset) {
-		src := NewKeySource(master, sh.Lane)
-		key := make([]byte, 16)
-		buf := make([]byte, 257)
-		for k := uint64(0); k < sh.Keys; k++ {
-			src.NextKey(key)
-			c := rc4.MustNew(key)
-			c.Skip(1023)
-			c.Keystream(buf[:1])
-			for b := 0; b < blocks; b++ {
-				c.Keystream(buf[1:])
-				for r := 0; r < 256; r++ {
-					merged.Counts[r*65536+int(buf[r])*256+int(buf[r+1])]++
-				}
-				merged.Pairs += 256
-				buf[0] = buf[256]
+	src := NewKeySource(master, longTermLaneOffset)
+	key := make([]byte, 16)
+	buf := make([]byte, 257)
+	for k := 0; k < keys; k++ {
+		src.NextKey(key)
+		c := rc4.MustNew(key)
+		c.Skip(1023)
+		c.Keystream(buf[:1])
+		for b := 0; b < blocks; b++ {
+			c.Keystream(buf[1:])
+			for r := 0; r < 256; r++ {
+				merged.Counts[r*65536+int(buf[r])*256+int(buf[r+1])]++
 			}
+			merged.Pairs += 256
+			buf[0] = buf[256]
 		}
 	}
 	return merged
 }
 
-// refCollectLongTermTargeted is the pre-Engine CollectLongTermTargeted loop.
-func refCollectLongTermTargeted(master [16]byte, keys, blocks, workers int, cells []LongTermCell) *TargetedLongTerm {
+// refCollectLongTermTargeted is CollectLongTermTargeted as one sequential
+// pass.
+func refCollectLongTermTargeted(master [16]byte, keys, blocks int, cells []LongTermCell) *TargetedLongTerm {
 	merged := &TargetedLongTerm{Cells: cells, Counts: make([]uint64, len(cells))}
-	for _, sh := range SplitKeys(uint64(keys), workers, targetedLaneOffset) {
-		src := NewKeySource(master, sh.Lane)
-		key := make([]byte, 16)
-		buf := make([]byte, 257)
-		for k := uint64(0); k < sh.Keys; k++ {
-			src.NextKey(key)
-			c := rc4.MustNew(key)
-			c.Skip(1023)
-			c.Keystream(buf[:1])
-			for b := 0; b < blocks; b++ {
-				c.Keystream(buf[1:])
-				for r := 0; r < 256; r++ {
-					x, y := buf[r], buf[r+1]
-					for ci := range cells {
-						cell := &cells[ci]
-						if cell.I >= 0 && cell.I != r {
-							continue
-						}
-						cx, cy := cell.X, cell.Y
-						if cell.XPlusI {
-							cx += byte(r)
-						}
-						if cell.YPlusI {
-							cy += byte(r)
-						}
-						if x == cx && y == cy {
-							merged.Counts[ci]++
-						}
+	src := NewKeySource(master, targetedLaneOffset)
+	key := make([]byte, 16)
+	buf := make([]byte, 257)
+	for k := 0; k < keys; k++ {
+		src.NextKey(key)
+		c := rc4.MustNew(key)
+		c.Skip(1023)
+		c.Keystream(buf[:1])
+		for b := 0; b < blocks; b++ {
+			c.Keystream(buf[1:])
+			for r := 0; r < 256; r++ {
+				x, y := buf[r], buf[r+1]
+				for ci := range cells {
+					cell := &cells[ci]
+					if cell.I >= 0 && cell.I != r {
+						continue
+					}
+					cx, cy := cell.X, cell.Y
+					if cell.XPlusI {
+						cx += byte(r)
+					}
+					if cell.YPlusI {
+						cy += byte(r)
+					}
+					if x == cx && y == cy {
+						merged.Counts[ci]++
 					}
 				}
-				merged.Pairs += 256
-				buf[0] = buf[256]
 			}
+			merged.Pairs += 256
+			buf[0] = buf[256]
 		}
 	}
 	merged.PerI = merged.Pairs / 256
@@ -116,54 +101,108 @@ func refCollectLongTermTargeted(master [16]byte, keys, blocks, workers int, cell
 
 func TestRunMatchesPreEngineLoop(t *testing.T) {
 	master := [16]byte{0x11, 0x22}
-	for _, workers := range []int{1, 3, 4} {
-		cfg := Config{Keys: 500, Workers: workers, Master: master, Skip: 2}
-		got, err := Run(cfg, func() Observer { return NewSingleByteCounts(16) })
+	want := refRun(Config{Keys: 500, Master: master}, func() Observer { return NewSingleByteCounts(16) }).(*SingleByteCounts)
+	for _, workers := range pinWorkers {
+		got, err := Run(Config{Keys: 500, Workers: workers, Master: master}, func() Observer { return NewSingleByteCounts(16) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := refRun(cfg, func() Observer { return NewSingleByteCounts(16) })
-		g, w := got.(*SingleByteCounts), want.(*SingleByteCounts)
-		if g.Keys != w.Keys {
-			t.Fatalf("workers=%d: keys %d vs %d", workers, g.Keys, w.Keys)
+		g := got.(*SingleByteCounts)
+		if g.Keys != want.Keys {
+			t.Fatalf("workers=%d: keys %d vs %d", workers, g.Keys, want.Keys)
 		}
-		for i := range g.Counts {
-			if g.Counts[i] != w.Counts[i] {
-				t.Fatalf("workers=%d: counts diverge at %d", workers, i)
+		if !equalCounts(g.Counts, want.Counts) {
+			t.Fatalf("workers=%d: counts diverge from the sequential pass", workers)
+		}
+	}
+}
+
+// TestRunSplitMatchesWhole pins key ranges: Run over [0,a) merged with Run
+// over [a,n) is Run over [0,n), for splits inside and across kernel
+// batches, at any worker count.
+func TestRunSplitMatchesWhole(t *testing.T) {
+	const n = 300
+	master := [16]byte{0x5a}
+	gen := func(first, keys uint64, workers int) *SingleByteCounts {
+		obs, err := Run(Config{Keys: keys, FirstKey: first, Workers: workers, Master: master, LaneOffset: 3},
+			func() Observer { return NewSingleByteCounts(8) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obs.(*SingleByteCounts)
+	}
+	whole := gen(0, n, 1)
+	if ref := refRun(Config{Keys: n, Master: master, LaneOffset: 3}, func() Observer { return NewSingleByteCounts(8) }); !equalCounts(whole.Counts, ref.(*SingleByteCounts).Counts) {
+		t.Fatal("whole run diverges from the sequential pass")
+	}
+	for _, a := range []uint64{1, 31, 32, 33, 150, 299} {
+		for _, workers := range pinWorkers {
+			head := gen(0, a, workers)
+			if err := head.Merge(gen(a, n-a, workers)); err != nil {
+				t.Fatal(err)
+			}
+			if head.Keys != whole.Keys || !equalCounts(head.Counts, whole.Counts) {
+				t.Fatalf("split at %d, workers=%d: merged ranges differ from the whole run", a, workers)
 			}
 		}
 	}
 }
 
+// TestRunKeyDeriverMatchesPreEngineLoop pins the deriver's view of a key:
+// at any worker count it sees every (lane, index) of the range exactly
+// once, with the key the sequential KeySource draws at that index.
 func TestRunKeyDeriverMatchesPreEngineLoop(t *testing.T) {
-	// The deriver sees global key indices; mixing the index into the key
-	// makes any indexing drift change the counts.
-	deriver := func(keyIndex uint64, key []byte) {
-		key[0] = byte(keyIndex)
-		key[1] = byte(keyIndex >> 8)
+	const lane, first, keys = 11, 40, 100
+	master := [16]byte{0x77}
+	want := make(map[uint64][16]byte)
+	src := NewKeySourceAt(master, lane, first)
+	for i := uint64(0); i < keys; i++ {
+		var k [16]byte
+		src.NextKey(k[:])
+		want[first+i] = k
 	}
-	cfg := Config{Keys: 300, Workers: 4, KeyDeriver: deriver}
-	got, err := Run(cfg, func() Observer { return NewSingleByteCounts(4) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refRun(cfg, func() Observer { return NewSingleByteCounts(4) })
-	g, w := got.(*SingleByteCounts), want.(*SingleByteCounts)
-	for i := range g.Counts {
-		if g.Counts[i] != w.Counts[i] {
-			t.Fatalf("counts diverge at %d", i)
+	for _, workers := range pinWorkers {
+		var mu sync.Mutex
+		got := make(map[uint64][16]byte)
+		_, err := Engine{Workers: workers}.Run(context.Background(), Stream{
+			Master:   master,
+			BlockLen: 1,
+			KeyDeriver: func(l, index uint64, key []byte) {
+				if l != lane {
+					t.Errorf("deriver saw lane %d", l)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if _, dup := got[index]; dup {
+					t.Errorf("index %d derived twice", index)
+				}
+				got[index] = [16]byte(key)
+			},
+		}, SplitKeys(Shard{Lane: lane, FirstKey: first, Keys: keys}, workers),
+			func(int) Sink { return observerSink{NewSingleByteCounts(1)} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d keys derived, want %d", workers, len(got), len(want))
+		}
+		for i, k := range want {
+			if got[i] != k {
+				t.Fatalf("workers=%d: key %d differs from the sequential draw", workers, i)
+			}
 		}
 	}
 }
 
 func TestCollectLongTermMatchesPreEngineLoop(t *testing.T) {
+	// Every shard holds a 128 MB table, so three keys cap a run at three.
 	master := [16]byte{0xab}
-	for _, workers := range []int{1, 3} {
-		got, err := CollectLongTerm(context.Background(), master, 5, 8, workers)
+	want := refCollectLongTerm(master, 3, 8)
+	for _, workers := range pinWorkers {
+		got, err := CollectLongTerm(context.Background(), master, 3, 8, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := refCollectLongTerm(master, 5, 8, workers)
 		if got.Pairs != want.Pairs {
 			t.Fatalf("workers=%d: pairs %d vs %d", workers, got.Pairs, want.Pairs)
 		}
@@ -182,12 +221,12 @@ func TestCollectLongTermTargetedMatchesPreEngineLoop(t *testing.T) {
 		{I: 3, X: 255, Y: 255},
 		{I: -1, X: 0, Y: 1, YPlusI: true},
 	}
-	for _, workers := range []int{1, 4} {
+	want := refCollectLongTermTargeted(master, 6, 8, cells)
+	for _, workers := range pinWorkers {
 		got, err := CollectLongTermTargeted(context.Background(), master, 6, 8, workers, cells)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := refCollectLongTermTargeted(master, 6, 8, workers, cells)
 		if got.Pairs != want.Pairs || got.PerI != want.PerI {
 			t.Fatalf("workers=%d: pairs %d/%d vs %d/%d", workers, got.Pairs, got.PerI, want.Pairs, want.PerI)
 		}
@@ -228,14 +267,15 @@ func TestCollectLongTermZeroKeys(t *testing.T) {
 // --- engine behavior tests ----------------------------------------------
 
 func TestSplitKeys(t *testing.T) {
-	shards := SplitKeys(10, 4, 100)
+	shards := SplitKeys(Shard{Lane: 100, FirstKey: 5, Keys: 10}, 4)
 	if len(shards) != 4 {
 		t.Fatalf("%d shards", len(shards))
 	}
-	var total, next uint64
+	var total uint64
+	next := uint64(5)
 	for w, sh := range shards {
-		if sh.Lane != 100+uint64(w) {
-			t.Errorf("shard %d lane %d", w, sh.Lane)
+		if sh.Lane != 100 {
+			t.Errorf("shard %d lane %d, want the range's lane 100", w, sh.Lane)
 		}
 		if sh.FirstKey != next {
 			t.Errorf("shard %d first key %d, want %d", w, sh.FirstKey, next)
@@ -251,10 +291,10 @@ func TestSplitKeys(t *testing.T) {
 		t.Errorf("split %v", shards)
 	}
 	// Workers clamp to the key count.
-	if got := SplitKeys(2, 8, 0); len(got) != 2 {
+	if got := SplitKeys(Shard{Keys: 2}, 8); len(got) != 2 {
 		t.Errorf("clamp: %d shards", len(got))
 	}
-	if got := SplitKeys(0, 8, 0); got != nil {
+	if got := SplitKeys(Shard{}, 8); got != nil {
 		t.Errorf("zero keys: %v", got)
 	}
 }
@@ -262,7 +302,7 @@ func TestSplitKeys(t *testing.T) {
 func TestEngineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Engine{}.Run(ctx, Stream{BlockLen: 8}, SplitKeys(100, 2, 0),
+	_, err := Engine{}.Run(ctx, Stream{BlockLen: 8}, SplitKeys(Shard{Keys: 100}, 2),
 		func(int) Sink { return observerSink{NewSingleByteCounts(8)} })
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -280,7 +320,7 @@ func TestEngineProgress(t *testing.T) {
 		}
 		calls = append(calls, done)
 	})
-	_, err := Engine{Workers: 2}.Run(ctx, Stream{BlockLen: 4}, SplitKeys(50, 2, 0),
+	_, err := Engine{Workers: 2}.Run(ctx, Stream{BlockLen: 4}, SplitKeys(Shard{Keys: 50}, 2),
 		func(int) Sink { return observerSink{NewSingleByteCounts(4)} })
 	if err != nil {
 		t.Fatal(err)
@@ -295,10 +335,7 @@ func TestEngineProgress(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	sink := func(int) Sink { return observerSink{NewSingleByteCounts(1)} }
-	shards := SplitKeys(4, 2, 0)
-	if _, err := (Engine{}).Run(context.Background(), Stream{KeyLen: 300, BlockLen: 1}, shards, sink); err == nil {
-		t.Error("bad key length accepted")
-	}
+	shards := SplitKeys(Shard{Keys: 4}, 2)
 	if _, err := (Engine{}).Run(context.Background(), Stream{BlockLen: -1}, shards, sink); err == nil {
 		t.Error("negative block length accepted")
 	}
@@ -321,7 +358,7 @@ func TestEngineOverlapCarry(t *testing.T) {
 	collector := collectSink{wins: &wins}
 	_, err := Engine{Workers: 1}.Run(context.Background(), Stream{
 		Skip: 7, Overlap: overlap, BlockLen: blockLen, Blocks: blocks,
-	}, SplitKeys(1, 1, 42), func(int) Sink { return collector })
+	}, SplitKeys(Shard{Lane: 42, Keys: 1}, 1), func(int) Sink { return collector })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,15 +22,27 @@ import (
 // derived from this key using AES in counter mode"). A given (master, lane)
 // pair always yields the same key sequence, which makes every dataset in
 // this repository exactly reproducible.
+//
+// The counter block is lane‖index (two big-endian uint64s), and a 16-byte
+// key is exactly one AES block, so key k of a lane is the encryption of
+// lane‖k. A key's identity is therefore its absolute (lane, index) pair:
+// NewKeySourceAt starts a lane at any index in O(1), and the keys it draws
+// equal those of a source that drew and discarded the first index keys.
 type KeySource struct {
 	stream cipher.Stream
 	buf    []byte
 }
 
-// NewKeySource creates a key source for the given worker lane. Each lane
-// gets a disjoint counter-mode keystream by seeding the IV with the lane
-// number.
+// NewKeySource creates a key source at the start of the given lane. Each
+// lane gets a disjoint counter-mode keystream by seeding the IV with the
+// lane number.
 func NewKeySource(master [16]byte, lane uint64) *KeySource {
+	return NewKeySourceAt(master, lane, 0)
+}
+
+// NewKeySourceAt creates a key source whose next 16-byte key is key index
+// first of the given lane.
+func NewKeySourceAt(master [16]byte, lane, first uint64) *KeySource {
 	block, err := aes.NewCipher(master[:])
 	if err != nil {
 		// aes.NewCipher only fails on bad key sizes; [16]byte cannot be one.
@@ -38,6 +50,7 @@ func NewKeySource(master [16]byte, lane uint64) *KeySource {
 	}
 	var iv [aes.BlockSize]byte
 	binary.BigEndian.PutUint64(iv[:8], lane)
+	binary.BigEndian.PutUint64(iv[8:], first)
 	return &KeySource{stream: cipher.NewCTR(block, iv[:])}
 }
 

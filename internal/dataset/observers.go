@@ -381,9 +381,9 @@ func SaveFile(path string, obs Observer) error {
 }
 
 // SaveFileMeta is SaveFile with a generation-parameter record appended to
-// the payload. Checkpointed generation (cmd/biasgen) stores its seed, lane
-// base, and chunking there so a resume under different flags is rejected
-// instead of silently mixing incompatible key populations. Files written
+// the payload. Checkpointed generation (cmd/biasgen) stores its seed and
+// lane base there so a resume under different flags is rejected instead of
+// silently mixing incompatible key populations. Files written
 // with meta stay readable by Load/LoadFile — the trailing record is simply
 // not consumed.
 func SaveFileMeta(path string, obs Observer, meta map[string]uint64) error {
@@ -430,9 +430,9 @@ type metaPair struct {
 	V uint64
 }
 
-// Load deserializes an observer written by Save. Enveloped files are
-// checksum-verified and version-checked; legacy pre-envelope gob streams
-// (written before the format marker existed) still load.
+// Load deserializes an observer written by Save. Files are
+// checksum-verified and version-checked; anything but a snapshot envelope
+// (a bare gob stream, say) fails with snapshot.ErrNotSnapshot.
 func Load(r io.Reader) (Observer, error) {
 	obs, _, err := loadWithMeta(r)
 	return obs, err

@@ -3,14 +3,11 @@ package dataset
 import (
 	"context"
 	"errors"
-
-	"rc4break/internal/rc4"
 )
 
 // Lane offsets keep the KeySource lane spaces of the different collectors
-// disjoint, so no two datasets ever share an RC4 key sequence. The values
-// match the pre-Engine hand-rolled loops, which keeps every dataset in this
-// repository bitwise-reproducible across the refactor.
+// disjoint, so no two datasets ever share an RC4 key sequence. Each
+// collector draws keys 0..n-1 of its lane.
 const (
 	runLaneOffset      = 0
 	longTermLaneOffset = 1000
@@ -19,41 +16,28 @@ const (
 	// scans (eq. 8, ABSAB, eq. 9).
 )
 
-// Config controls a generation run.
+// Config controls a generation run over the 16-byte keys
+// FirstKey..FirstKey+Keys-1 of one KeySource lane.
 type Config struct {
 	// Keys is the total number of RC4 keys (keystreams) to generate.
 	Keys uint64
-	// KeyLen is the RC4 key length in bytes; 0 means 16 (the paper's
-	// setting for both random-key datasets and TKIP per-packet keys).
-	KeyLen int
-	// Workers is the number of parallel workers; 0 means GOMAXPROCS.
+	// Workers is the number of parallel workers; 0 means GOMAXPROCS. It
+	// changes no bit of the result.
 	Workers int
 	// Master is the AES-128 master key from which all RC4 keys derive.
 	// The zero value is a valid (fixed) master, giving reproducible runs.
 	Master [16]byte
-	// Skip discards this many initial keystream bytes before Observe sees
-	// the rest — the long-term datasets drop the first 1023 bytes (§3.4).
-	Skip int
-	// KeyDeriver, when non-nil, post-processes each derived key before use.
-	// The TKIP per-packet key structure (K0..K2 from the TSC, §2.2) hooks
-	// in here.
-	KeyDeriver func(keyIndex uint64, key []byte)
 	// Ctx, when non-nil, cancels the run early; pair with WithProgress to
 	// observe long runs. nil means context.Background().
 	Ctx context.Context
-	// LaneOffset shifts the KeySource lane space of this run. Two runs with
-	// the same master but disjoint lane offsets draw disjoint RC4 key
-	// sequences, which is how independent capture shards and the chunks of
-	// a checkpointed generation stay non-overlapping. 0 preserves the
-	// repository's historical lane layout.
+	// LaneOffset selects the KeySource lane of this run. Two runs with the
+	// same master but different lane offsets draw disjoint RC4 key
+	// sequences, which is how independent shards stay non-overlapping.
 	LaneOffset uint64
-}
-
-func (c Config) withDefaults() Config {
-	if c.KeyLen == 0 {
-		c.KeyLen = 16
-	}
-	return c
+	// FirstKey is the lane index of the run's first key. Runs over
+	// adjacent ranges merge into exactly the run over their union, which
+	// is how the chunks of a checkpointed generation continue each other.
+	FirstKey uint64
 }
 
 // observerSink adapts the per-keystream Observer interface to the engine's
@@ -72,27 +56,20 @@ func (o observerSink) Merge(other Sink) error {
 }
 
 // Run generates cfg.Keys keystreams in parallel and folds them into
-// observers produced by factory (one set per worker), returning the merged
+// observers produced by factory (one per shard), returning the merged
 // result. factory must return a fresh, independent Observer on each call.
 func Run(cfg Config, factory func() Observer) (Observer, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Keys == 0 {
 		return nil, errors.New("dataset: zero keys requested")
 	}
-	if cfg.KeyLen < rc4.MinKeyLen || cfg.KeyLen > rc4.MaxKeyLen {
-		return nil, rc4.KeySizeError(cfg.KeyLen)
-	}
-	shards := SplitKeys(cfg.Keys, cfg.Workers, runLaneOffset+cfg.LaneOffset)
+	shards := SplitKeys(Shard{Lane: runLaneOffset + cfg.LaneOffset, FirstKey: cfg.FirstKey, Keys: cfg.Keys}, cfg.Workers)
 	observers := make([]Observer, len(shards))
 	for i := range observers {
 		observers[i] = factory()
 	}
 	sink, err := Engine{Workers: cfg.Workers}.Run(cfg.Ctx, Stream{
-		Master:     cfg.Master,
-		KeyLen:     cfg.KeyLen,
-		KeyDeriver: cfg.KeyDeriver,
-		Skip:       cfg.Skip,
-		BlockLen:   observers[0].KeystreamLen(),
+		Master:   cfg.Master,
+		BlockLen: observers[0].KeystreamLen(),
 	}, shards, func(i int) Sink { return observerSink{observers[i]} })
 	if err != nil {
 		return nil, err
@@ -149,7 +126,7 @@ func CollectLongTerm(ctx context.Context, master [16]byte, keys, blocks, workers
 	if keys <= 0 || blocks <= 0 {
 		return &LongTermDigraphs{}, nil
 	}
-	shards := SplitKeys(uint64(keys), workers, longTermLaneOffset)
+	shards := SplitKeys(Shard{Lane: longTermLaneOffset, Keys: uint64(keys)}, workers)
 	sink, err := Engine{Workers: workers}.Run(ctx, longTermStream(master, blocks), shards,
 		func(int) Sink { return &LongTermDigraphs{} })
 	if err != nil {
@@ -280,7 +257,7 @@ func CollectLongTermTargeted(ctx context.Context, master [16]byte, keys, blocks,
 	if keys <= 0 || blocks <= 0 {
 		return newSink(0).(*TargetedLongTerm), nil
 	}
-	shards := SplitKeys(uint64(keys), workers, targetedLaneOffset)
+	shards := SplitKeys(Shard{Lane: targetedLaneOffset, Keys: uint64(keys)}, workers)
 	sink, err := Engine{Workers: workers}.Run(ctx, longTermStream(master, blocks), shards, newSink)
 	if err != nil {
 		return nil, err

@@ -68,7 +68,7 @@ func ABSABGapVerification(ctx context.Context, master [16]byte, keys, blocks int
 
 	tot := &absabTally{gaps: gaps, hits: make([]uint64, len(gaps)), total: make([]uint64, len(gaps))}
 	if keys > 0 && blocks > 0 {
-		shards := dataset.SplitKeys(uint64(keys), workers, absabLaneOffset)
+		shards := dataset.SplitKeys(dataset.Shard{Lane: absabLaneOffset, Keys: uint64(keys)}, workers)
 		sink, err := dataset.Engine{Workers: workers}.Run(ctx, dataset.Stream{
 			// The scanned block is the window head; the overlap supplies
 			// the second digraph of the largest gap (r+2+g+1 lookahead).
@@ -146,7 +146,7 @@ func Equation9Search(ctx context.Context, master [16]byte, keys, blocks int, pai
 	}
 	tot := &eqTally{pairs: pairs, hits: make([]uint64, len(pairs))}
 	if keys > 0 && blocks > 0 {
-		shards := dataset.SplitKeys(uint64(keys), workers, eq9LaneOffset)
+		shards := dataset.SplitKeys(dataset.Shard{Lane: eq9LaneOffset, Keys: uint64(keys)}, workers)
 		sink, err := dataset.Engine{Workers: workers}.Run(ctx, dataset.Stream{
 			// Skip 1024 so each block starts at Z_{256w+1}.
 			Master: master, Skip: 1024, BlockLen: 256, Blocks: blocks,

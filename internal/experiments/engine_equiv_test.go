@@ -8,43 +8,45 @@ import (
 	"rc4break/internal/rc4"
 )
 
-// These tests pin the engine-based long-term scans to sequential replicas of
-// the pre-Engine worker loops: same lane numbering, same key split, same
-// buffer mechanics. Identical counts imply identical Result values, so the
-// drivers are compared through their rendered rows.
+// These tests pin the engine-based long-term scans to one sequential
+// rc4.Cipher pass over keys 0..n-1 of each scan's lane, with the pre-Engine
+// loops' own buffer mechanics, at several worker counts. Identical counts
+// imply identical Result values, so the drivers are compared through their
+// rendered rows.
 
-// refZeroPairs replicates the pre-Engine LongTermZeroPairs worker loop.
-func refZeroPairs(master [16]byte, keys, blocks, workers int) (zero, one28, control, total uint64) {
-	for _, sh := range dataset.SplitKeys(uint64(keys), workers, zeroPairLaneOffset) {
-		src := dataset.NewKeySource(master, sh.Lane)
-		key := make([]byte, 16)
-		buf := make([]byte, 259)
-		for k := uint64(0); k < sh.Keys; k++ {
-			src.NextKey(key)
-			ci := rc4.MustNew(key)
-			ci.Skip(1279)
-			for b := 0; b < blocks; b++ {
-				ci.Keystream(buf[:3])
-				if buf[2] == 0 {
-					switch buf[0] {
-					case 0:
-						zero++
-					case 128:
-						one28++
-					case 64:
-						control++
-					}
+// pinWorkers are the worker counts every reference pin runs at.
+var pinWorkers = []int{1, 2, 3, 7}
+
+// refZeroPairs is LongTermZeroPairs as one sequential pass.
+func refZeroPairs(master [16]byte, keys, blocks int) (zero, one28, control, total uint64) {
+	src := dataset.NewKeySource(master, zeroPairLaneOffset)
+	key := make([]byte, 16)
+	buf := make([]byte, 259)
+	for k := 0; k < keys; k++ {
+		src.NextKey(key)
+		ci := rc4.MustNew(key)
+		ci.Skip(1279)
+		for b := 0; b < blocks; b++ {
+			ci.Keystream(buf[:3])
+			if buf[2] == 0 {
+				switch buf[0] {
+				case 0:
+					zero++
+				case 128:
+					one28++
+				case 64:
+					control++
 				}
-				total++
-				ci.Skip(253)
 			}
+			total++
+			ci.Skip(253)
 		}
 	}
 	return
 }
 
-// refABSAB replicates the pre-Engine ABSABGapVerification worker loop.
-func refABSAB(master [16]byte, keys, blocks int, gaps []int, workers int) (hits, total []uint64) {
+// refABSAB is ABSABGapVerification as one sequential pass.
+func refABSAB(master [16]byte, keys, blocks int, gaps []int) (hits, total []uint64) {
 	maxGap := 0
 	for _, g := range gaps {
 		if g > maxGap {
@@ -53,71 +55,76 @@ func refABSAB(master [16]byte, keys, blocks int, gaps []int, workers int) (hits,
 	}
 	hits = make([]uint64, len(gaps))
 	total = make([]uint64, len(gaps))
-	for _, sh := range dataset.SplitKeys(uint64(keys), workers, absabLaneOffset) {
-		src := dataset.NewKeySource(master, sh.Lane)
-		key := make([]byte, 16)
-		buf := make([]byte, 256+maxGap+4)
-		for k := uint64(0); k < sh.Keys; k++ {
-			src.NextKey(key)
-			c := rc4.MustNew(key)
-			c.Skip(1023)
-			c.Keystream(buf)
-			for b := 0; b < blocks; b++ {
-				for r := 0; r+3 <= 256; r++ {
-					for gi, g := range gaps {
-						s := r + 2 + g
-						if buf[r] == buf[s] && buf[r+1] == buf[s+1] {
-							hits[gi]++
-						}
-						total[gi]++
+	src := dataset.NewKeySource(master, absabLaneOffset)
+	key := make([]byte, 16)
+	buf := make([]byte, 256+maxGap+4)
+	for k := 0; k < keys; k++ {
+		src.NextKey(key)
+		c := rc4.MustNew(key)
+		c.Skip(1023)
+		c.Keystream(buf)
+		for b := 0; b < blocks; b++ {
+			for r := 0; r+3 <= 256; r++ {
+				for gi, g := range gaps {
+					s := r + 2 + g
+					if buf[r] == buf[s] && buf[r+1] == buf[s+1] {
+						hits[gi]++
 					}
+					total[gi]++
 				}
-				copy(buf, buf[256:])
-				c.Keystream(buf[maxGap+4:])
 			}
+			copy(buf, buf[256:])
+			c.Keystream(buf[maxGap+4:])
 		}
 	}
 	return
 }
 
-// refEq9 replicates the pre-Engine Equation9Search worker loop.
-func refEq9(master [16]byte, keys, blocks int, pairs [][2]int, workers int) (hits []uint64, total uint64) {
+// refEq9 is Equation9Search as one sequential pass.
+func refEq9(master [16]byte, keys, blocks int, pairs [][2]int) (hits []uint64, total uint64) {
 	hits = make([]uint64, len(pairs))
-	for _, sh := range dataset.SplitKeys(uint64(keys), workers, eq9LaneOffset) {
-		src := dataset.NewKeySource(master, sh.Lane)
-		key := make([]byte, 16)
-		buf := make([]byte, 256)
-		for k := uint64(0); k < sh.Keys; k++ {
-			src.NextKey(key)
-			c := rc4.MustNew(key)
-			c.Skip(1024)
-			for b := 0; b < blocks; b++ {
-				c.Keystream(buf)
-				for pi, p := range pairs {
-					if buf[p[0]] == buf[p[1]] {
-						hits[pi]++
-					}
+	src := dataset.NewKeySource(master, eq9LaneOffset)
+	key := make([]byte, 16)
+	buf := make([]byte, 256)
+	for k := 0; k < keys; k++ {
+		src.NextKey(key)
+		c := rc4.MustNew(key)
+		c.Skip(1024)
+		for b := 0; b < blocks; b++ {
+			c.Keystream(buf)
+			for pi, p := range pairs {
+				if buf[p[0]] == buf[p[1]] {
+					hits[pi]++
 				}
-				total++
 			}
+			total++
 		}
 	}
 	return
 }
 
 func TestLongTermZeroPairsMatchesPreEngineLoop(t *testing.T) {
-	master := [16]byte{0x42}
-	const keys, blocks, workers = 5, 64, 3
-	res, err := LongTermZeroPairs(context.Background(), master, keys, blocks, workers)
-	if err != nil {
-		t.Fatal(err)
+	// The cells have probability about 2^-16 per block, so at this scale
+	// most masters count nothing and the pin would compare zeros. This
+	// master hits (0,0) and (128,0) once each, in keys past the first, so
+	// a key population that changes with the worker count shows.
+	master := [16]byte{0x79}
+	const keys, blocks = 4, 1024
+	zero, one28, control, total := refZeroPairs(master, keys, blocks)
+	if zero+one28+control == 0 {
+		t.Fatal("reference counted no events; the pin would be vacuous")
 	}
-	zero, one28, control, total := refZeroPairs(master, keys, blocks, workers)
 	want := []uint64{zero, one28, control}
-	for i, row := range res.Rows {
-		meas := float64(want[i]) / float64(total) * 65536
-		if row.Values[0] != meas {
-			t.Errorf("%s: measured %v, reference %v", row.Label, row.Values[0], meas)
+	for _, workers := range pinWorkers {
+		res, err := LongTermZeroPairs(context.Background(), master, keys, blocks, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range res.Rows {
+			meas := float64(want[i]) / float64(total) * 65536
+			if row.Values[0] != meas {
+				t.Errorf("workers=%d %s: measured %v, reference %v", workers, row.Label, row.Values[0], meas)
+			}
 		}
 	}
 }
@@ -125,16 +132,18 @@ func TestLongTermZeroPairsMatchesPreEngineLoop(t *testing.T) {
 func TestABSABGapVerificationMatchesPreEngineLoop(t *testing.T) {
 	master := [16]byte{0x43}
 	gaps := []int{0, 3, 17}
-	const keys, blocks, workers = 4, 32, 3
-	res, err := ABSABGapVerification(context.Background(), master, keys, blocks, gaps, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, total := refABSAB(master, keys, blocks, gaps, workers)
-	for gi, row := range res.Rows {
-		meas := float64(hits[gi]) / float64(total[gi]) * 65536
-		if row.Values[0] != meas {
-			t.Errorf("%s: measured %v, reference %v", row.Label, row.Values[0], meas)
+	const keys, blocks = 4, 32
+	hits, total := refABSAB(master, keys, blocks, gaps)
+	for _, workers := range pinWorkers {
+		res, err := ABSABGapVerification(context.Background(), master, keys, blocks, gaps, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gi, row := range res.Rows {
+			meas := float64(hits[gi]) / float64(total[gi]) * 65536
+			if row.Values[0] != meas {
+				t.Errorf("workers=%d %s: measured %v, reference %v", workers, row.Label, row.Values[0], meas)
+			}
 		}
 	}
 }
@@ -142,16 +151,18 @@ func TestABSABGapVerificationMatchesPreEngineLoop(t *testing.T) {
 func TestEquation9SearchMatchesPreEngineLoop(t *testing.T) {
 	master := [16]byte{0x44}
 	pairs := [][2]int{{0, 2}, {5, 250}}
-	const keys, blocks, workers = 4, 32, 2
-	res, err := Equation9Search(context.Background(), master, keys, blocks, pairs, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, total := refEq9(master, keys, blocks, pairs, workers)
-	for pi, row := range res.Rows {
-		meas := float64(hits[pi]) / float64(total) * 256
-		if row.Values[0] != meas {
-			t.Errorf("%s: measured %v, reference %v", row.Label, row.Values[0], meas)
+	const keys, blocks = 4, 32
+	hits, total := refEq9(master, keys, blocks, pairs)
+	for _, workers := range pinWorkers {
+		res, err := Equation9Search(context.Background(), master, keys, blocks, pairs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pi, row := range res.Rows {
+			meas := float64(hits[pi]) / float64(total) * 256
+			if row.Values[0] != meas {
+				t.Errorf("workers=%d %s: measured %v, reference %v", workers, row.Label, row.Values[0], meas)
+			}
 		}
 	}
 }

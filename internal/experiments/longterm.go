@@ -9,8 +9,8 @@ import (
 )
 
 // Lane offsets for the experiments package's long-term scans, disjoint from
-// the dataset package's own lane spaces and preserved from the pre-engine
-// loops so the datasets stay bitwise-reproducible.
+// the dataset package's own lane spaces. Each scan draws keys 0..n-1 of its
+// lane.
 const (
 	zeroPairLaneOffset = 3000
 	absabLaneOffset    = 4000
@@ -182,7 +182,7 @@ func LongTermZeroPairs(ctx context.Context, master [16]byte, keys, blocks, worke
 	// first window's win[0] is Z_1280).
 	tot := &zeroPairCounts{}
 	if keys > 0 && blocks > 0 {
-		shards := dataset.SplitKeys(uint64(keys), workers, zeroPairLaneOffset)
+		shards := dataset.SplitKeys(dataset.Shard{Lane: zeroPairLaneOffset, Keys: uint64(keys)}, workers)
 		sink, err := dataset.Engine{Workers: workers}.Run(ctx, dataset.Stream{
 			Master: master, Skip: 1279, BlockLen: 256, Blocks: blocks,
 		}, shards, func(int) dataset.Sink { return &zeroPairCounts{} })

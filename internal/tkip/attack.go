@@ -79,17 +79,6 @@ func (a *Attack) ObserveFrames(frames []Frame) {
 	a.Frames += uint64(len(frames))
 }
 
-// ObserveKeystreamSample folds a model-sampled observation for class tsc0
-// where the keystream byte at position index pi was z and the plaintext
-// byte was pt. Used by the simulation drivers (model mode).
-func (a *Attack) ObserveKeystreamSample(tsc0 byte, pi int, z, pt byte) {
-	base := int(tsc0) * len(a.Positions) * 256
-	a.counts[base+pi*256+int(z^pt)]++
-}
-
-// AddFrameCount is used with ObserveKeystreamSample to keep Frames correct.
-func (a *Attack) AddFrameCount(n uint64) { a.Frames += n }
-
 // logDistributions lazily builds the per-(position, class) log-distribution
 // cache, fanned over the Workers pool (positions are independent).
 func (a *Attack) logDistributions() error {
@@ -213,7 +202,7 @@ func (a *Attack) SimulateCaptures(rng *rand.Rand, pt []byte, n uint64) error {
 	if err != nil {
 		return err
 	}
-	a.AddFrameCount(n)
+	a.Frames += n
 	return nil
 }
 
@@ -227,17 +216,4 @@ func TrailerPositions(msduLen int) []int {
 		out[i] = msduLen + 1 + i
 	}
 	return out
-}
-
-// ExpectedTrailerScore is a helper for experiments: the log-likelihood the
-// model assigns the true trailer, useful for ranking diagnostics.
-func ExpectedTrailerScore(lks []*recovery.ByteLikelihoods, trailer []byte) float64 {
-	if len(lks) != len(trailer) {
-		return math.Inf(-1)
-	}
-	var s float64
-	for i, l := range lks {
-		s += l[trailer[i]]
-	}
-	return s
 }
