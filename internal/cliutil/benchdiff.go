@@ -78,8 +78,9 @@ func DiffBench(baseline, current []BenchResult) (deltas []BenchDelta, onlyBaseli
 
 // FormatBenchDiff renders the deltas (worst regression first) and returns
 // how many exceed the regression threshold (fractional; 0.25 = fail on
-// >25% slower). A zero threshold disables the regression count — every
-// delta is informational.
+// >25% slower). A negative threshold demands a speedup (-0.75 = fail unless
+// at least 4× faster). A zero threshold disables the regression count —
+// every delta is informational.
 func FormatBenchDiff(w io.Writer, deltas []BenchDelta, onlyBaseline, onlyCurrent []string, threshold float64) (regressions int) {
 	nameW := len("benchmark")
 	for _, d := range deltas {
@@ -90,7 +91,7 @@ func FormatBenchDiff(w io.Writer, deltas []BenchDelta, onlyBaseline, onlyCurrent
 	fmt.Fprintf(w, "%-*s  %14s  %14s  %8s\n", nameW, "benchmark", "old ns/op", "new ns/op", "delta")
 	for _, d := range deltas {
 		flag := ""
-		if threshold > 0 && d.Delta > threshold {
+		if threshold != 0 && d.Delta > threshold {
 			flag = "  REGRESSION"
 			regressions++
 		}

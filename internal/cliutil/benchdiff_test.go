@@ -46,6 +46,14 @@ func TestDiffBench(t *testing.T) {
 	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "only in baseline") {
 		t.Fatalf("report missing markers:\n%s", out)
 	}
+	// A negative threshold demands a speedup: -10% clears a 5% demand but
+	// not a 20% one.
+	if got := FormatBenchDiff(&strings.Builder{}, deltas, nil, nil, -0.05); got != 1 {
+		t.Fatalf("threshold -0.05 counted %d, want 1 (only the +40%%)", got)
+	}
+	if got := FormatBenchDiff(&strings.Builder{}, deltas, nil, nil, -0.2); got != 2 {
+		t.Fatalf("threshold -0.2 counted %d, want 2", got)
+	}
 	// Threshold 0 disables the gate entirely.
 	if got := FormatBenchDiff(&strings.Builder{}, deltas, nil, nil, 0); got != 0 {
 		t.Fatalf("threshold 0 counted %d regressions", got)

@@ -328,39 +328,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCollectLongTermMechanics(t *testing.T) {
-	lt, err := CollectLongTerm(context.Background(), [16]byte{7}, 4, 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPairs := uint64(4 * 16 * 256)
-	if lt.Pairs != wantPairs {
-		t.Fatalf("Pairs = %d, want %d", lt.Pairs, wantPairs)
-	}
-	// Counts must conserve the total.
-	var total uint64
-	for _, c := range lt.Counts {
-		total += c
-	}
-	if total != wantPairs {
-		t.Fatalf("count sum %d, want %d", total, wantPairs)
-	}
-	// Per-class totals must be exactly Pairs/256.
-	for i := 0; i < 256; i++ {
-		var classTotal uint64
-		for c := 0; c < 65536; c++ {
-			classTotal += lt.Counts[i*65536+c]
-		}
-		if classTotal != wantPairs/256 {
-			t.Fatalf("class %d total %d, want %d", i, classTotal, wantPairs/256)
-		}
-	}
-	if p := lt.Probability(0, 0, 0); p < 0 || p > 1 {
-		t.Fatalf("probability out of range: %v", p)
-	}
-	_ = lt.Count(3, 1, 2)
-}
-
 func TestTargetedLongTermMatchesFullTable(t *testing.T) {
 	// The targeted counter must agree exactly with the full table on the
 	// same deterministic keystream set.
@@ -393,11 +360,25 @@ func TestTargetedLongTermMatchesFullTable(t *testing.T) {
 	}
 }
 
+// longTermDigraphs is the full long-term digraph table by i-value: cell
+// (i, x, y) counts occurrences of (Z_r, Z_r+1) = (x, y) at PRGA counter
+// i = r+1 mod 256. At 128 MB it is only the reference the targeted counter
+// is checked against.
+type longTermDigraphs struct {
+	Counts [256 * 65536]uint64 // [i][x*256+y]
+	Pairs  uint64              // digraphs observed in total
+}
+
+// Count returns the raw count for (i, x, y).
+func (lt *longTermDigraphs) Count(i int, x, y byte) uint64 {
+	return lt.Counts[i*65536+int(x)*256+int(y)]
+}
+
 // collectLongTermLanes mirrors CollectLongTermTargeted's lane numbering
 // (offset 2000) but fills the full table, so the two can be compared on
 // identical keystreams.
-func collectLongTermLanes(master [16]byte, keys, blocks int) *LongTermDigraphs {
-	lt := &LongTermDigraphs{}
+func collectLongTermLanes(master [16]byte, keys, blocks int) *longTermDigraphs {
+	lt := &longTermDigraphs{}
 	src := NewKeySource(master, 2000)
 	key := make([]byte, 16)
 	buf := make([]byte, 257)

@@ -33,29 +33,6 @@ func refRun(cfg Config, factory func() Observer) Observer {
 	return obs
 }
 
-// refCollectLongTerm is CollectLongTerm as one sequential pass.
-func refCollectLongTerm(master [16]byte, keys, blocks int) *LongTermDigraphs {
-	merged := &LongTermDigraphs{}
-	src := NewKeySource(master, longTermLaneOffset)
-	key := make([]byte, 16)
-	buf := make([]byte, 257)
-	for k := 0; k < keys; k++ {
-		src.NextKey(key)
-		c := rc4.MustNew(key)
-		c.Skip(1023)
-		c.Keystream(buf[:1])
-		for b := 0; b < blocks; b++ {
-			c.Keystream(buf[1:])
-			for r := 0; r < 256; r++ {
-				merged.Counts[r*65536+int(buf[r])*256+int(buf[r+1])]++
-			}
-			merged.Pairs += 256
-			buf[0] = buf[256]
-		}
-	}
-	return merged
-}
-
 // refCollectLongTermTargeted is CollectLongTermTargeted as one sequential
 // pass.
 func refCollectLongTermTargeted(master [16]byte, keys, blocks int, cells []LongTermCell) *TargetedLongTerm {
@@ -194,26 +171,6 @@ func TestRunKeyDeriverMatchesPreEngineLoop(t *testing.T) {
 	}
 }
 
-func TestCollectLongTermMatchesPreEngineLoop(t *testing.T) {
-	// Every shard holds a 128 MB table, so three keys cap a run at three.
-	master := [16]byte{0xab}
-	want := refCollectLongTerm(master, 3, 8)
-	for _, workers := range pinWorkers {
-		got, err := CollectLongTerm(context.Background(), master, 3, 8, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Pairs != want.Pairs {
-			t.Fatalf("workers=%d: pairs %d vs %d", workers, got.Pairs, want.Pairs)
-		}
-		for i := range got.Counts {
-			if got.Counts[i] != want.Counts[i] {
-				t.Fatalf("workers=%d: counts diverge at %d", workers, i)
-			}
-		}
-	}
-}
-
 func TestCollectLongTermTargetedMatchesPreEngineLoop(t *testing.T) {
 	master := [16]byte{0xcd}
 	cells := []LongTermCell{
@@ -242,13 +199,6 @@ func TestCollectLongTermTargetedMatchesPreEngineLoop(t *testing.T) {
 // panic: workers were clamped to the key count, so zero keys indexed
 // results[0] out of range.
 func TestCollectLongTermZeroKeys(t *testing.T) {
-	lt, err := CollectLongTerm(context.Background(), [16]byte{1}, 0, 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lt == nil || lt.Pairs != 0 {
-		t.Fatalf("want empty result, got %+v", lt)
-	}
 	tt, err := CollectLongTermTargeted(context.Background(), [16]byte{1}, 0, 16, 4, []LongTermCell{{I: -1}})
 	if err != nil {
 		t.Fatal(err)
@@ -258,9 +208,9 @@ func TestCollectLongTermZeroKeys(t *testing.T) {
 	}
 	// Zero blocks must also yield an empty result, matching the pre-Engine
 	// loops (whose block loop simply never ran).
-	lt, err = CollectLongTerm(context.Background(), [16]byte{1}, 4, 0, 2)
-	if err != nil || lt.Pairs != 0 {
-		t.Fatalf("zero blocks: pairs %d err %v", lt.Pairs, err)
+	tt, err = CollectLongTermTargeted(context.Background(), [16]byte{1}, 4, 0, 2, []LongTermCell{{I: -1}})
+	if err != nil || tt.Pairs != 0 {
+		t.Fatalf("zero blocks: pairs %d err %v", tt.Pairs, err)
 	}
 }
 

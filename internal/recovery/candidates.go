@@ -279,36 +279,45 @@ func (d *PairDecoder) Decode(likelihoods []*PairLikelihoods, m1, mL byte, n int,
 // fhp is caller-owned heap scratch, reset here and handed back with its
 // capacity for the next merge.
 func mergeNBest(dst []entry2, fhp *frontierHeap, prev *pairLevel, interior []byte, lk *PairLikelihoods, v byte, n int) []entry2 {
+	// col[pv] is the pair score of (pv, v), gathered once: every pop reads
+	// it, and in the table it is a column strided 2 KiB apart.
+	var col [256]float64
 	fh := (*fhp)[:0]
+	avail := 0
 	for _, pv := range interior {
 		pl := prev[pv]
 		if len(pl) == 0 {
 			continue
 		}
-		fh = append(fh, frontier{score: pl[0].score + lk.At(pv, v), pv: pv, idx: 0})
+		avail += len(pl)
+		col[pv] = lk.At(pv, v)
+		fh = append(fh, frontier{score: pl[0].score + col[pv], pv: pv, idx: 0})
 	}
-	heap.Init(&fh)
-	for len(dst) < n && fh.Len() > 0 {
+	// The list ends at min(n, avail) entries; size it once rather than
+	// growing it by doubling.
+	if want := min(n, avail); cap(dst) < want {
+		dst = make([]entry2, 0, want)
+	}
+	for i := len(fh)/2 - 1; i >= 0; i-- {
+		fh.down(i)
+	}
+	for len(dst) < n && len(fh) > 0 {
 		top := fh[0]
 		dst = append(dst, entry2{score: top.score, prevV: top.pv, prevI: top.idx})
 		pl := prev[top.pv]
 		if int(top.idx)+1 < len(pl) {
 			fh[0] = frontier{
-				score: pl[top.idx+1].score + lk.At(top.pv, v),
+				score: pl[top.idx+1].score + col[top.pv],
 				pv:    top.pv,
 				idx:   top.idx + 1,
 			}
-			heap.Fix(&fh, 0)
 		} else {
-			// Inline heap.Pop without the interface boxing (the popped
-			// frontier is discarded): same comparisons, same heap order.
+			// The predecessor list is exhausted: pop its frontier.
 			last := len(fh) - 1
 			fh[0] = fh[last]
 			fh = fh[:last]
-			if last > 1 {
-				heap.Fix(&fh, 0)
-			}
 		}
+		fh.down(0)
 	}
 	*fhp = fh
 	return dst
@@ -329,18 +338,36 @@ type frontier struct {
 	idx   uint32
 }
 
+// frontierHeap is a max-heap of frontiers by score.
 type frontierHeap []frontier
 
-func (h frontierHeap) Len() int            { return len(h) }
-func (h frontierHeap) Less(i, j int) bool  { return h[i].score > h[j].score }
-func (h frontierHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *frontierHeap) Push(x interface{}) { *h = append(*h, x.(frontier)) }
-func (h *frontierHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// down is container/heap's sift-down specialised to frontiers, moving the
+// sinking element once instead of swapping at every level. It makes the
+// same comparisons — a child rises only when its score is strictly greater,
+// and the right child is taken only when strictly greater than the left —
+// so tied scores leave the heap, and every candidate list, in exactly the
+// order container/heap would.
+func (h frontierHeap) down(i int) {
+	n := len(h)
+	if i >= n {
+		return
+	}
+	x := h[i]
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].score > h[j].score {
+			j = r
+		}
+		if !(h[j].score > x.score) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = x
 }
 
 // ScoreSequence computes the total log-likelihood of a full plaintext under

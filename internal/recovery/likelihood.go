@@ -90,23 +90,24 @@ func (l *ByteLikelihoods) Best() byte {
 // given counts[c] of each observed ciphertext byte value and the keystream
 // distribution dist[k] = Pr[Z = k] at that position, it returns
 // L[µ] = Σ_c counts[c] · log dist[c ⊕ µ] — the log-probability of the
-// induced keystream distribution N^µ (eq. 10) under the model.
+// induced keystream distribution N^µ (eq. 10) under the model. It is the
+// one-class case of the spectral path the per-TSC attack uses: one
+// LogSpectrum, one SpectralSum.Add, one inverse.
 func SingleByteLikelihoods(counts *[256]uint64, dist []float64) (*ByteLikelihoods, error) {
-	logp, err := LogDistribution(dist)
+	spec, err := LogSpectrum(dist)
 	if err != nil {
 		return nil, err
 	}
+	var acc SpectralSum
+	acc.Add(counts[:], spec)
 	out := new(ByteLikelihoods)
-	SingleByteLikelihoodsFromLog(out, counts[:], logp)
+	acc.Likelihoods(out)
 	return out, nil
 }
 
-// LogDistribution validates a 256-entry probability vector and returns its
-// element-wise logarithm. Likelihood passes that repeat over growing
-// evidence (the online runtime decodes at every cadence point) compute this
-// once per distribution and reuse it via SingleByteLikelihoodsFromLog; the
-// model distributions never change mid-attack.
-func LogDistribution(dist []float64) (*[256]float64, error) {
+// logDistribution validates a 256-entry probability vector and returns its
+// element-wise logarithm.
+func logDistribution(dist []float64) (*[256]float64, error) {
 	if len(dist) != 256 {
 		return nil, errors.New("recovery: keystream distribution must have 256 entries")
 	}
@@ -120,37 +121,87 @@ func LogDistribution(dist []float64) (*[256]float64, error) {
 	return logp, nil
 }
 
-// SingleByteLikelihoodsFromLog accumulates eq. 11/12 into out (adding to
-// whatever out already holds — callers combining per-class evidence under
-// eq. 25 sum in place) from raw counts and a precomputed log distribution.
-// counts must have 256 entries.
-//
-// The kernel runs four µ values per pass of the count row: each µ keeps its
-// own accumulator summing in the same c order as the scalar loop, so every
-// output is bitwise identical to the scalar result — including zero-count
-// terms, whose ±0 contribution is an additive identity for every reachable
-// partial sum (partial sums are +0 or negative, logp being ≤ 0) — while the
-// four independent chains hide the floating-point add latency the scalar
-// loop serializes on.
-func SingleByteLikelihoodsFromLog(out *ByteLikelihoods, counts []uint64, logp *[256]float64) {
-	counts = counts[:256]
-	for mu := 0; mu < 256; mu += 4 {
-		var s0, s1, s2, s3 float64
-		for c, cnt := range counts {
-			n := float64(cnt)
-			k := (c ^ mu) & 255
-			// µ+1..µ+3 differ from µ only in the low two bits, so their
-			// indices are k^1, k^2, k^3 — the same aligned 4-group of logp.
-			s0 += n * logp[k]
-			s1 += n * logp[k^1]
-			s2 += n * logp[k^2]
-			s3 += n * logp[k^3]
+// wht is the in-place, unnormalized 256-point Walsh–Hadamard transform:
+// x[k] ← Σ_j (−1)^popcount(j&k) x[j]. It is its own inverse up to a factor
+// of 256, and it turns the XOR-correlation of eq. 11/12 into a pointwise
+// product: H(Σ_c N[c]·g[c⊕·]) = H(N)·H(g).
+func wht(x *[256]float64) {
+	for h := 1; h < 256; h <<= 1 {
+		for i := 0; i < 256; i += 2 * h {
+			lo := x[i : i+h : i+h]
+			hi := x[i+h : i+2*h : i+2*h]
+			for j := range lo {
+				a, b := lo[j], hi[j]
+				lo[j], hi[j] = a+b, a-b
+			}
 		}
-		out[mu] += s0
-		out[mu+1] += s1
-		out[mu+2] += s2
-		out[mu+3] += s3
 	}
+}
+
+// Spectrum is the Walsh–Hadamard transform of a log keystream
+// distribution, pre-scaled by 1/256 (an exact power-of-two scaling) so that
+// the inverse transform needs no normalization. Models whose distributions
+// never change mid-attack build each spectrum once and share it across
+// every decode of every job.
+type Spectrum [256]float64
+
+// LogSpectrum validates a 256-entry probability vector and returns the
+// spectrum of its element-wise logarithm.
+func LogSpectrum(dist []float64) (*Spectrum, error) {
+	logp, err := logDistribution(dist)
+	if err != nil {
+		return nil, err
+	}
+	wht(logp)
+	spec := (*Spectrum)(logp)
+	for k := range spec {
+		spec[k] /= 256
+	}
+	return spec, nil
+}
+
+// SpectralSum accumulates eq. 11/12 evidence for one plaintext byte position
+// in the Walsh–Hadamard domain: Σ_class H(N_class)·Spectrum_class, the §5.1
+// product over TSC classes of per-class likelihoods (a sum in log space,
+// and the transform is linear). Likelihoods applies the one inverse
+// transform per position. The zero value is an empty sum.
+//
+// The count transform is exact (integer sums stay exact in float64 while a
+// class row's total is below 2^53), so the only rounding is one product per
+// cell and class, the sum over classes in the caller's order, and the
+// inverse's eight butterfly stages. The result is therefore not bitwise the
+// direct sum's, but within a relative 1e-12 of it (pinned by the tests
+// against the direct reference); adding classes in a fixed order keeps it
+// bitwise identical across worker counts.
+type SpectralSum [256]float64
+
+// Add folds one class's ciphertext counts (256 entries) against that
+// class's spectrum. An all-zero row adds nothing and is skipped — exactly,
+// since its transform is all zeros.
+func (s *SpectralSum) Add(counts []uint64, spec *Spectrum) {
+	counts = counts[:256]
+	var x [256]float64
+	nonzero := false
+	for c, n := range counts {
+		if n != 0 {
+			nonzero = true
+		}
+		x[c] = float64(n)
+	}
+	if !nonzero {
+		return
+	}
+	wht(&x)
+	for k := range s {
+		s[k] += x[k] * spec[k]
+	}
+}
+
+// Likelihoods writes the accumulated log-likelihoods L[µ] into out
+// (overwriting it) — one inverse transform.
+func (s *SpectralSum) Likelihoods(out *ByteLikelihoods) {
+	*out = ByteLikelihoods(*s)
+	wht((*[256]float64)(out))
 }
 
 // PairLikelihoodsNaive computes the full eq. 13 double-byte likelihood:

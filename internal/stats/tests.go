@@ -160,7 +160,7 @@ func MTest(table []uint64, cols int) (TestResult, error) {
 // few cells deviate — the RC4 digraph setting, where at most ~8 of 65536
 // cells are biased — the M-test of Fuchs and Kenett is asymptotically more
 // powerful. Both are provided so the power difference can be measured
-// (see TestMTestPowerAdvantage and the §3.1 ablation bench).
+// (see TestMTestPowerAdvantage).
 func ChiSquareIndependence(table []uint64, cols int) (TestResult, error) {
 	if cols < 2 || len(table)%cols != 0 {
 		return TestResult{}, errors.New("stats: bad table shape")

@@ -19,20 +19,13 @@ type Attack struct {
 	Positions []int    // 1-indexed keystream positions under attack
 	counts    []uint64 // [class][posIdx][cipherByte]
 	Frames    uint64
-	// Workers bounds the parallelism of SimulateCaptures; 0 means
-	// GOMAXPROCS. Results are bitwise identical for any value.
+	// Workers bounds the parallelism of SimulateCaptures and Likelihoods;
+	// 0 means GOMAXPROCS. Results are bitwise identical for any value.
 	Workers int
 	// Stream, when set by a capture driver, records which stream the
 	// frames came from; it rides along in snapshots so an exact-mode
 	// resume against a different stream can be rejected.
 	Stream snapshot.StreamInfo
-
-	// logDist caches the per-(position, class) log model distributions,
-	// indexed [pi*256+class]. The model is immutable for the attack's
-	// lifetime, but Likelihoods is re-run at every online decode point;
-	// without the cache each pass recomputes 256 logarithms per (position,
-	// class) pair — ~0.8M per pass at trailer scale.
-	logDist []*[256]float64
 }
 
 // NewAttack prepares an attack over the given keystream positions, which
@@ -79,61 +72,28 @@ func (a *Attack) ObserveFrames(frames []Frame) {
 	a.Frames += uint64(len(frames))
 }
 
-// logDistributions lazily builds the per-(position, class) log-distribution
-// cache, fanned over the Workers pool (positions are independent).
-func (a *Attack) logDistributions() error {
-	if a.logDist != nil {
-		return nil
-	}
-	ld := make([]*[256]float64, len(a.Positions)*256)
-	err := dataset.ForShards(a.Workers, len(a.Positions), func(pi int) error {
-		pos := a.Positions[pi]
-		for class := 0; class < 256; class++ {
-			logp, err := recovery.LogDistribution(a.Model.Distribution(byte(class), pos))
-			if err != nil {
-				return err
-			}
-			ld[pi*256+class] = logp
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	a.logDist = ld
-	return nil
-}
-
 // Likelihoods computes the per-position single-byte log-likelihoods by
 // combining per-TSC evidence: the §5.1 product over TSC classes of the
-// per-class likelihood (a sum in log space). Positions are independent, so
-// the pass fans them over the Workers pool; within a position the classes
-// accumulate in class order, so the result is bitwise identical for any
-// worker count (and to the historical sequential pass).
+// per-class likelihood (a sum in log space), taken in the Walsh–Hadamard
+// domain against the model's cached log-spectra (recovery.SpectralSum).
+// Positions are independent, so the pass fans them over the Workers pool;
+// within a position the classes accumulate in class order, so the result is
+// bitwise identical for any worker count.
 func (a *Attack) Likelihoods() ([]*recovery.ByteLikelihoods, error) {
-	if err := a.logDistributions(); err != nil {
-		return nil, err
-	}
 	np := len(a.Positions)
 	out := make([]*recovery.ByteLikelihoods, np)
 	err := dataset.ForShards(a.Workers, np, func(pi int) error {
-		total := new(recovery.ByteLikelihoods)
-		for class := 0; class < 256; class++ {
-			base := class*np*256 + pi*256
-			row := a.counts[base : base+256]
-			any := false
-			for _, n := range row {
-				if n != 0 {
-					any = true
-					break
-				}
-			}
-			if !any {
-				continue
-			}
-			recovery.SingleByteLikelihoodsFromLog(total, row, a.logDist[pi*256+class])
+		spectra, err := a.Model.LogSpectra(a.Positions[pi])
+		if err != nil {
+			return err
 		}
-		out[pi] = total
+		var acc recovery.SpectralSum
+		for class := range spectra {
+			base := class*np*256 + pi*256
+			acc.Add(a.counts[base:base+256], &spectra[class])
+		}
+		out[pi] = new(recovery.ByteLikelihoods)
+		acc.Likelihoods(out[pi])
 		return nil
 	})
 	if err != nil {

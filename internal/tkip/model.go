@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"rc4break/internal/dataset"
+	"rc4break/internal/recovery"
 	"rc4break/internal/snapshot"
 )
 
@@ -28,6 +29,19 @@ type PerTSCModel struct {
 	fpOnce sync.Once
 	fp     [16]byte
 	fpErr  error
+
+	// spectra[pos-1] caches the log-spectra of one position's 256 class
+	// distributions, built on first use by LogSpectra; every attack and
+	// job sharing the model reuses them.
+	spOnce  sync.Once
+	spectra []spectraSlot
+}
+
+// spectraSlot is one position's lazily built log-spectra.
+type spectraSlot struct {
+	once sync.Once
+	s    *[256]recovery.Spectrum
+	err  error
 }
 
 // TrainConfig controls per-TSC model training.
@@ -119,6 +133,32 @@ func (m *PerTSCModel) Distribution(tsc0 byte, pos int) []float64 {
 		out[v] = (float64(m.Counts[base+v]) + 1) / den
 	}
 	return out
+}
+
+// LogSpectra returns the Walsh–Hadamard log-spectra of position pos's class
+// distributions, indexed by TSC0 class — what Attack.Likelihoods multiplies
+// each class's ciphertext counts against. Each position's 256 spectra
+// (512 KiB) are built once, on the first decode that needs them, and are
+// safe to share across goroutines: the model is immutable.
+func (m *PerTSCModel) LogSpectra(pos int) (*[256]recovery.Spectrum, error) {
+	if pos < 1 || pos > m.Positions {
+		return nil, errors.New("tkip: position outside trained model")
+	}
+	m.spOnce.Do(func() { m.spectra = make([]spectraSlot, m.Positions) })
+	slot := &m.spectra[pos-1]
+	slot.once.Do(func() {
+		s := new([256]recovery.Spectrum)
+		for class := range s {
+			spec, err := recovery.LogSpectrum(m.Distribution(byte(class), pos))
+			if err != nil {
+				slot.err = err
+				return
+			}
+			s[class] = *spec
+		}
+		slot.s = s
+	})
+	return slot.s, slot.err
 }
 
 // Count returns the raw training count for (tsc0, pos, val).

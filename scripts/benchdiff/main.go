@@ -14,6 +14,11 @@
 //
 //	go run ./scripts/benchdiff -gate 'Keystream|Skip' -min -threshold 0.6 BENCH_pr5_kernel.json kernel.json
 //
+// A negative -threshold turns the gate into an in-process A/B speedup
+// check: with the slow side renamed into the baseline and the fast side
+// into the current file, -threshold=-0.75 fails unless the current side
+// is at least 4× faster.
+//
 // The -gate family has a static sibling: scripts/bcecheck compiles the same
 // internal/rc4 kernels with -d=ssa/check_bce and fails CI when a bounds
 // check drifts from its committed allowlist — catching at compile time the
@@ -32,7 +37,7 @@ import (
 )
 
 func main() {
-	threshold := flag.Float64("threshold", 0.25, "fractional ns/op regression that fails the diff (0 disables the gate)")
+	threshold := flag.Float64("threshold", 0.25, "fractional ns/op regression that fails the diff; negative demands that much speedup (0 disables the gate)")
 	gate := flag.String("gate", "", "benchmark-name regexp: compare only this family, fail on regression or on a gated benchmark missing from current")
 	minRuns := flag.Bool("min", false, "collapse -count N repeats to the minimum ns/op per benchmark before diffing")
 	flag.Usage = func() {
@@ -73,7 +78,11 @@ func main() {
 	regressions := cliutil.FormatBenchDiff(os.Stdout, deltas, onlyBase, onlyCur, *threshold)
 	failed := false
 	if regressions > 0 {
-		fmt.Printf("%d benchmark(s) regressed more than %.0f%% vs %s\n", regressions, 100**threshold, flag.Arg(0))
+		if *threshold < 0 {
+			fmt.Printf("%d benchmark(s) not at least %.0f%% faster than %s\n", regressions, -100**threshold, flag.Arg(0))
+		} else {
+			fmt.Printf("%d benchmark(s) regressed more than %.0f%% vs %s\n", regressions, 100**threshold, flag.Arg(0))
+		}
 		failed = true
 	}
 	if gated && len(onlyBase) > 0 {
